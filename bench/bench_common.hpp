@@ -126,28 +126,25 @@ inline Record e2e_record(std::string name, int nb, int ib, int m, int n,
   return r;
 }
 
-/// Scalar type a bench series runs in. F64 is the historical default;
-/// Mixed is the float-reduction + double-eigensolve driver (only the
-/// end-to-end benches distinguish it from F32).
-enum class DType { F64, F32, Mixed };
+/// Scalar type a bench series runs in. F64 is the historical default.
+enum class DType { F64, F32 };
 
 inline const char* dtype_name(DType d) {
   switch (d) {
     case DType::F64: return "f64";
     case DType::F32: return "f32";
-    case DType::Mixed: return "mixed";
   }
   return "?";
 }
 
 /// Series-name suffix for a dtype: empty for f64 (keeps the historical
-/// series names diffable across PRs), "_f32" / "_mixed" otherwise.
+/// series names diffable across PRs), "_f32" otherwise.
 inline std::string dtype_suffix(DType d) {
   return d == DType::F64 ? "" : std::string("_") + dtype_name(d);
 }
 
 /// Shared argv handling for the benches:
-/// `[--smoke] [--out PATH] [--dtype f32|f64|mixed] [--nb N]
+/// `[--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
 ///  [--tune-file PATH]`.
 /// Returns false (after printing usage) on unknown arguments. `smoke`
 /// additionally picks up pre-set state (e.g. TBSVD_BENCH_FULL) untouched —
@@ -161,7 +158,7 @@ inline bool parse_bench_args(int argc, char** argv, bool& smoke,
                              const char** tune_file = nullptr) {
   auto usage = [&] {
     std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]%s%s%s\n", argv[0],
-                 dtype != nullptr ? " [--dtype f32|f64|mixed]" : "",
+                 dtype != nullptr ?  " [--dtype f32|f64]" : "",
                  nb != nullptr ? " [--nb N]" : "",
                  tune_file != nullptr ? " [--tune-file PATH]" : "");
     return false;
@@ -178,8 +175,6 @@ inline bool parse_bench_args(int argc, char** argv, bool& smoke,
         *dtype = DType::F64;
       } else if (std::strcmp(v, "f32") == 0) {
         *dtype = DType::F32;
-      } else if (std::strcmp(v, "mixed") == 0) {
-        *dtype = DType::Mixed;
       } else {
         return usage();
       }
@@ -200,8 +195,7 @@ inline bool parse_bench_args(int argc, char** argv, bool& smoke,
 /// Load a persisted calibration for a bench run (--tune-file): exits with
 /// a message on a corrupt/stale file rather than silently re-calibrating,
 /// and prints the host-mismatch flag when the file came from another
-/// machine. Returns the per-dtype table (Mixed maps to "f32" — its
-/// GE2BND-stage cost is the float reduction's).
+/// machine. Returns the per-dtype table.
 inline const tune::PrecisionCalib& load_tune_table(const char* path,
                                                    tune::Calibration& cal,
                                                    DType dtype) {

@@ -9,11 +9,9 @@
 // Paper shapes: the tiled two-stage codes dominate; on tall-and-skinny the
 // one-stage GEBRD codes flatline while tbsvd/elemental keep scaling.
 //
-// --dtype selects the working precision: f64 (default), f32 (every driver
-// in float), or mixed — the tiled columns run gesvd_values_mixed (float
-// reduction, double eigensolve + refinement) while the one-stage baselines
-// stay in f64, their accuracy-equivalent. Non-f64 series carry a _f32 /
-// _mixed suffix so the history tier tracks each precision separately.
+// --dtype selects the working precision: f64 (default) or f32 (every
+// driver in float). f32 series carry a _f32 suffix so the history tier
+// tracks each precision separately.
 //
 // Every point lands in the JSON artifact (default BENCH_fig2_ge2val.json,
 // Record schema plus problem extents) for cross-PR tracking via
@@ -22,7 +20,7 @@
 // With --tune-file PATH the tiled columns take (nb, ib) from a persisted
 // tbsvd_tune calibration (an explicit --nb still wins on the tile size).
 //
-// Usage: fig2_ge2val [--smoke] [--out PATH] [--dtype f32|f64|mixed] [--nb N]
+// Usage: fig2_ge2val [--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
 //                    [--tune-file PATH]
 #include <algorithm>
 #include <thread>
@@ -79,12 +77,6 @@ double run_tbsvd(int m, int n, int nthreads, TreeKind tree, BidiagAlg alg,
     return record_point(series, m, n, o.nb, o.ge2bnd.ib, w.seconds());
   }
   Matrix A = input_matrix<double>(m, n);
-  if (g_dtype == DType::Mixed) {
-    WallTimer w;
-    auto sv = gesvd_values_mixed(A.cview(), o);
-    benchmark_keep(sv);
-    return record_point(series, m, n, o.nb, o.ge2bnd.ib, w.seconds());
-  }
   WallTimer w;
   auto sv = gesvd_values(A.cview(), o);
   benchmark_keep(sv);

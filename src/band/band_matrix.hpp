@@ -42,6 +42,11 @@ class BandMatrixT {
   void set(int i, int j, T v) noexcept {
     if (in_band(i, j)) at(i, j) = v;
   }
+  /// Stored column j: entry (i, j) sits at offset ku + i - j, so rows
+  /// j - ku .. j + kl are contiguous.
+  [[nodiscard]] const T* col(int j) const noexcept {
+    return ab_.data() + static_cast<std::size_t>(j) * ldab_;
+  }
 
   [[nodiscard]] MatrixT<T> to_dense() const;
 

@@ -5,157 +5,135 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
-#include "lac/givens.hpp"
+#include "lac/householder.hpp"
 
 namespace tbsvd {
 
 namespace {
 
-// Working band with one subdiagonal slot (column-rotation bulge) and one
-// extra superdiagonal slot (row-rotation bulge).
+// Working band of the chase for bandwidth b >= 2. Sweep i leaves fill
+// behind it: up to b - 1 entries below the diagonal inside the diagonal
+// blocks, and a bulge reaching 2b - 1 above it. The storage is a
+// column-major band with 2b superdiagonals and b subdiagonals (LAPACK
+// ld = 3b + 1), so entry (i, j) sits at 2b + i + 3b j: an ordinary
+// column-major matrix with leading dimension 3b, shifted by 2b. Any block
+// inside that envelope is therefore a plain MatrixViewT, and the
+// lac/householder reflector kernels run on it directly.
 template <class T>
 class ChaseBand {
  public:
-  ChaseBand(const BandMatrixT<T>& B, std::vector<ChaseRot>* log)
-      : n_(B.n()), ku_(B.ku()), W_(B.n(), 1, B.ku() + 1), log_(log) {
+  explicit ChaseBand(const BandMatrixT<T>& B)
+      : n_(B.n()), b_(B.ku()), ld_(3 * B.ku()),
+        buf_(static_cast<std::size_t>(B.n()) * (3 * B.ku() + 1), T(0)),
+        vl_(b_), vr_(b_), work_(2 * b_) {
+    // Column j of B holds rows j - b .. j at offsets b + i - j.
     for (int j = 0; j < n_; ++j) {
-      for (int i = std::max(0, j - ku_); i <= j; ++i) {
-        W_.at(i, j) = B.get(i, j);
-      }
+      const int i0 = std::max(0, j - b_);
+      const T* src = B.col(j) + (b_ + i0 - j);
+      std::copy(src, src + (j - i0 + 1), &at(i0, j));
     }
   }
 
-  // Rotate columns (j-1, j) so that entry (i, j) becomes zero.
-  // Returns true if a subdiagonal bulge appeared at (j, j-1).
-  bool kill_with_col_rotation(int i, int j) {
-    const T f = W_.get(i, j - 1);
-    const T g = W_.get(i, j);
-    if (g == T(0)) return false;
-    const GivensRotationT<T> rot = lartg<T>(f, g);
-    if (log_ != nullptr) {
-      log_->push_back(ChaseRot{false, j, static_cast<double>(rot.c),
-                               static_cast<double>(rot.s)});
-    }
-    const int rlo = std::max(0, j - 1 - W_.ku());
-    const int rhi = std::min(n_ - 1, j);  // deepest nonzero row is diag of j
-    for (int r = rlo; r <= rhi; ++r) {
-      const T x = W_.get(r, j - 1);
-      const T y = W_.get(r, j);
-      if (x == T(0) && y == T(0)) continue;
-      W_.set(r, j - 1, rot.c * x + rot.s * y);
-      W_.set(r, j, -rot.s * x + rot.c * y);
-    }
-    W_.at(i, j) = T(0);
-    return j < n_ && W_.get(j, j - 1) != T(0);
+  [[nodiscard]] T& at(int i, int j) noexcept {
+    return buf_[static_cast<std::size_t>(j) * ld_ + 2 * b_ + i];
   }
 
-  // Rotate rows (i-1, i) so that entry (i, i-1) (the subdiagonal bulge)
-  // becomes zero. Returns the column of the new superdiagonal bulge at
-  // row i-1, or -1 if none was created.
-  int kill_with_row_rotation(int i) {
-    const T f = W_.get(i - 1, i - 1);
-    const T g = W_.get(i, i - 1);
-    if (g == T(0)) return -1;
-    const GivensRotationT<T> rot = lartg<T>(f, g);
-    if (log_ != nullptr) {
-      log_->push_back(ChaseRot{true, i, static_cast<double>(rot.c),
-                               static_cast<double>(rot.s)});
+  // Step k of sweep i works on the column block [c0, c1] with
+  // c0 = i + 1 + k b and c1 = min(c0 + b - 1, n - 1):
+  //   k = 0: take the right reflector from row i over [c0, c1];
+  //   k > 0: apply step k - 1's left reflector to the block on the right of
+  //          its diagonal block (rows c0 - b .. c0 - 1), and take the right
+  //          reflector from that block's first row.
+  // Then apply the right reflector to the rows below the row it came from
+  // down to c1 (the rest of that block and the diagonal block
+  // [c0, c1] x [c0, c1]), take the left reflector from column c0 of the
+  // diagonal block, and apply it to the rest of the diagonal block. Its
+  // application to the next block right is left to step k + 1.
+  //
+  // Step (i, k) touches only columns [i + 1 + k b, i + (k + 1) b]. It
+  // therefore depends only on (i, k - 1), which also hands it the left
+  // reflector, and on (i - 1, min(k + 1, last step of sweep i - 1)), the
+  // last step of the previous sweep to touch those columns.
+  void step(int i, int k) {
+    const int c0 = i + 1 + k * b_;
+    const int c1 = std::min(c0 + b_ - 1, n_ - 1);
+    const int w = c1 - c0 + 1;
+    const int r = (k == 0) ? i : c0 - b_;
+    if (k > 0) {
+      larf_left<T>(tau_l_, vl_.data(), 1, block(r, c0, b_, w), work_.data());
     }
-    const int clo = i - 1;
-    const int chi = std::min(n_ - 1, i + W_.ku() - 1);  // row i extends here
-    for (int c = clo; c <= chi; ++c) {
-      const T x = W_.get(i - 1, c);
-      const T y = W_.get(i, c);
-      if (x == T(0) && y == T(0)) continue;
-      W_.set(i - 1, c, rot.c * x + rot.s * y);
-      W_.set(i, c, -rot.s * x + rot.c * y);
-    }
-    W_.at(i, i - 1) = T(0);
-    // A genuine bulge sits exactly at (i-1, i-1 + b + 1) = (i-1, i + b),
-    // one column past the logical band of width b = ku_. If that column
-    // falls off the matrix, the chase ends here.
-    const int bulge_col = i + ku_;
-    return (bulge_col <= n_ - 1 && W_.get(i - 1, bulge_col) != T(0))
-               ? bulge_col
-               : -1;
-  }
 
-  [[nodiscard]] T entry(int i, int j) const { return W_.get(i, j); }
-  [[nodiscard]] int n() const noexcept { return n_; }
+    T* row = &at(r, c0);
+    const T tau_r = larfg<T>(w, row[0], row + ld_, ld_);
+    take_reflector(row, ld_, w, vr_.data());
+    larf_right<T>(tau_r, vr_.data(), 1, block(r + 1, c0, c1 - r, w),
+                  work_.data());
+
+    T* col = &at(c0, c0);
+    tau_l_ = larfg<T>(w, col[0], col + 1, 1);
+    take_reflector(col, 1, w, vl_.data());
+    if (w > 1) {
+      larf_left<T>(tau_l_, vl_.data(), 1, block(c0, c0 + 1, w, w - 1),
+                   work_.data());
+    }
+  }
 
  private:
+  [[nodiscard]] MatrixViewT<T> block(int i, int j, int m, int n) noexcept {
+    return {&at(i, j), m, n, ld_};
+  }
+
+  // Move the reflector tail larfg left in x[inc], x[2 inc], ... into v
+  // (with v[0] = 1) and zero its band slots: they are annihilated entries.
+  static void take_reflector(T* x, int inc, int w, T* v) noexcept {
+    v[0] = T(1);
+    for (int q = 1; q < w; ++q) {
+      v[q] = x[q * inc];
+      x[q * inc] = T(0);
+    }
+  }
+
   int n_;
-  int ku_;
-  BandMatrixT<T> W_;
-  std::vector<ChaseRot>* log_;
+  int b_;
+  int ld_;
+  std::vector<T> buf_;
+  std::vector<T> vl_;  // left reflector handed from step k - 1 to step k
+  std::vector<T> vr_;
+  std::vector<T> work_;
+  T tau_l_ = T(0);
 };
 
 }  // namespace
 
 template <class T>
-BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B, std::vector<ChaseRot>* log) {
+BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B) {
   TBSVD_CHECK(B.kl() == 0, "bnd2bd expects an upper-band matrix (kl = 0)");
-  if (log != nullptr) log->clear();
   const int n = B.n();
+  const int b = B.ku();
   BidiagonalT<T> out;
   out.d.resize(n, T(0));
   out.e.resize(std::max(0, n - 1), T(0));
   if (n == 0) return out;
 
-  ChaseBand<T> W(B, log);
-  const int b = B.ku();
-  if (b >= 2) {
-    for (int i = 0; i < n - 1; ++i) {
-      // Clean row i right-to-left: entries (i, i+2 .. i+b).
-      for (int l = std::min(b, n - 1 - i); l >= 2; --l) {
-        // Chase the elimination of (i, i+l) down the band.
-        int ci = i, cj = i + l;
-        while (true) {
-          const bool sub_bulge = W.kill_with_col_rotation(ci, cj);
-          if (!sub_bulge) break;
-          const int bulge_col = W.kill_with_row_rotation(cj);
-          if (bulge_col < 0) break;
-          ci = cj - 1;
-          cj = bulge_col;
-          if (cj - ci < 2) break;  // bulge landed inside the bidiagonal band
-        }
-      }
+  if (b < 2) {
+    for (int i = 0; i < n; ++i) out.d[i] = B.get(i, i);
+    for (int i = 0; i + 1 < n; ++i) out.e[i] = B.get(i, i + 1);
+  } else {
+    ChaseBand<T> W(B);
+    // Rows n - 2 and n - 1 are bidiagonal once sweep n - 3 is done.
+    for (int i = 0; i + 2 < n; ++i) {
+      for (int k = 0; i + 1 + k * b < n; ++k) W.step(i, k);
     }
+    for (int i = 0; i < n; ++i) out.d[i] = W.at(i, i);
+    for (int i = 0; i + 1 < n; ++i) out.e[i] = W.at(i, i + 1);
   }
-  for (int i = 0; i < n; ++i) out.d[i] = W.entry(i, i);
-  for (int i = 0; i + 1 < n; ++i) out.e[i] = W.entry(i, i + 1);
   if (TBSVD_FAULT_FIRE("band.bnd2bd.poison_nan")) {
     out.d[0] = std::numeric_limits<T>::quiet_NaN();
   }
   return out;
 }
 
-void chase_map_to_band(const std::vector<ChaseRot>& log,
-                       std::vector<double>& u, std::vector<double>& v) {
-  // The chase produced bidiag = L W R (rotations in application order), so
-  // band-space vectors are u_band = L^T u_bd and v_band = R v_bd. Both
-  // expand into the same reversed-order two-element update
-  //   (a, b) <- (c a - s b, s a + c b)
-  // on (idx-1, idx): L^T applies the transposed left rotations newest
-  // first, and R = R_1 R_2 ... applied to a vector also unwinds newest
-  // first.
-  for (auto it = log.rbegin(); it != log.rend(); ++it) {
-    std::vector<double>& x = it->left ? u : v;
-    if (x.empty()) continue;
-    const double a = x[it->idx - 1];
-    const double b = x[it->idx];
-    x[it->idx - 1] = it->c * a - it->s * b;
-    x[it->idx] = it->s * a + it->c * b;
-  }
-}
-
-#define TBSVD_INSTANTIATE_BND2BD(T) \
-  template BidiagonalT<T> bnd2bd<T>(const BandMatrixT<T>&, \
-                                    std::vector<ChaseRot>*);
-
-TBSVD_INSTANTIATE_BND2BD(float)
-TBSVD_INSTANTIATE_BND2BD(double)
-
-#undef TBSVD_INSTANTIATE_BND2BD
+template BidiagonalT<float> bnd2bd<float>(const BandMatrixT<float>&);
+template BidiagonalT<double> bnd2bd<double>(const BandMatrixT<double>&);
 
 }  // namespace tbsvd

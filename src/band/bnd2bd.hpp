@@ -1,8 +1,9 @@
 // BND2BD: reduce an upper-band matrix (bandwidth ku = nb) to upper
-// bidiagonal form with Givens-rotation bulge chasing (the role PLASMA's
-// multithreaded BND2BD plays in the paper; this stage is memory-bound and
-// was executed on a single node even in the paper's distributed runs).
-// Templated over the scalar type T in {float, double}.
+// bidiagonal form with a Householder bulge chase — length-nb reflectors on
+// cache-resident band blocks, in the order of PLASMA's core_xgbtype{1,2,3}cb
+// (the role PLASMA's multithreaded BND2BD plays in the paper; this stage is
+// memory-bound and was executed on a single node even in the paper's
+// distributed runs). Templated over the scalar type T in {float, double}.
 #pragma once
 
 #include <vector>
@@ -20,33 +21,11 @@ struct BidiagonalT {
 
 using Bidiagonal = BidiagonalT<double>;
 
-/// One Givens rotation applied during the bulge chase, in application
-/// order. left == true: rows (idx-1, idx) were combined as
-/// [r_{idx-1}; r_idx] <- [[c, s], [-s, c]] [r_{idx-1}; r_idx]; otherwise
-/// columns (idx-1, idx) as [c_{idx-1}, c_idx] <- [c_{idx-1}, c_idx]
-/// [[c, -s], [s, c]]. c and s are stored in double so a float chase can be
-/// replayed exactly in higher precision (float embeds exactly).
-struct ChaseRot {
-  bool left = true;
-  int idx = 0;
-  double c = 1.0;
-  double s = 0.0;
-};
-
-/// Reduce B (kl = 0, any ku >= 0) to upper bidiagonal form. The input is
-/// consumed by value into working storage with bulge slots. O(n^2 ku)
-/// flops. When log != nullptr every applied rotation is appended to *log
-/// (cleared first), so that with L = product of left rotations and R =
-/// product of right rotations in application order, B = L^T * bidiag * R^T
-/// — enough to map singular vectors of the bidiagonal back to the band.
+/// Reduce B (kl = 0, any ku >= 0) to upper bidiagonal form by orthogonal
+/// two-sided transformations, so the singular values are preserved. The
+/// input is copied into working storage with room for the bulges.
+/// About 8 n^2 ku flops.
 template <class T>
-BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B,
-                      std::vector<ChaseRot>* log = nullptr);
-
-/// Map singular vectors of the bidiagonal back to band space through a
-/// recorded chase: u := L^T u and v := R v, applied by replaying the log in
-/// reverse. u and v have length n; either may be empty to skip that side.
-void chase_map_to_band(const std::vector<ChaseRot>& log,
-                       std::vector<double>& u, std::vector<double>& v);
+BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B);
 
 }  // namespace tbsvd

@@ -7,8 +7,7 @@
 // by replaying the panel operations of the op stream on identity matrices.
 // This is the building block for computing singular *vectors* on top of
 // GE2BND (the paper's Section VII direction; their study covers values
-// only), and the lever the mixed-precision driver uses to lift bidiagonal
-// singular vectors back to the original matrix. Supported for BIDIAG
+// only). Supported for BIDIAG
 // streams (R-BIDIAG's phase-boundary cleanup discards Householder data,
 // exactly the storage complication Chan's algorithm is known for — see
 // Section II). Templated over the scalar type T in {float, double}.

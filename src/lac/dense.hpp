@@ -128,7 +128,7 @@ using ConstMatrixView = ConstMatrixViewT<double>;
 using Matrix = MatrixT<double>;
 
 /// Elementwise precision conversion (float -> double promotion and
-/// double -> float demotion for the mixed-precision driver).
+/// double -> float demotion, e.g. to build a float input from double data).
 template <class TDst, class TSrc>
 inline void convert_matrix(ConstMatrixViewT<TSrc> src, MatrixViewT<TDst> dst) {
   TBSVD_ASSERT(src.m == dst.m && src.n == dst.n);

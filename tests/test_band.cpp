@@ -1,8 +1,9 @@
 // Band stage validation: band storage, BND2BD bulge chasing (singular
-// values preserved vs dense oracle), BD2VAL QR iteration vs Sturm
-// bisection vs Jacobi.
+// values preserved vs dense oracle, typed over float and double), BD2VAL
+// QR iteration vs Sturm bisection vs Jacobi.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 
@@ -12,6 +13,7 @@
 #include "band/sturm.hpp"
 #include "common/rng.hpp"
 #include "lac/jacobi_svd.hpp"
+#include "test_harness.hpp"
 
 namespace tbsvd {
 namespace {
@@ -89,6 +91,106 @@ TEST(Bnd2bd, DiagonalInput) {
   Bidiagonal bd = bnd2bd(B);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(bd.d[i], i + 1.0);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(bd.e[i], 0.0);
+}
+
+// ------------------------------------------------ typed BND2BD suite ---
+
+// The Householder chase in float and double against the Jacobi oracle of
+// the same band, promoted to double. Both spectra are taken in double
+// after dividing out `scale`, so only the chase's own rounding is
+// measured. The bound 4 n eps_T sigma_max is over 10x the worst double
+// error measured on these shapes (which includes the oracle's own
+// rounding) and far above the float one.
+template <class T>
+BandMatrixT<T> random_band_t(int n, int ku, std::uint64_t seed,
+                             double scale = 1.0) {
+  Rng rng(seed);
+  BandMatrixT<T> B(n, 0, ku);
+  for (int j = 0; j < n; ++j) {
+    for (int i = std::max(0, j - ku); i <= j; ++i) {
+      B.at(i, j) = static_cast<T>(scale * rng.normal());
+    }
+  }
+  return B;
+}
+
+template <class T>
+void expect_chase_preserves_sv(const BandMatrixT<T>& B, double scale = 1.0) {
+  const int n = B.n();
+  Matrix A(n, n);
+  for (int j = 0; j < n; ++j) {
+    for (int i = std::max(0, j - B.ku()); i <= j; ++i) {
+      A(i, j) = static_cast<double>(B.get(i, j)) / scale;
+    }
+  }
+  const auto ref = jacobi_singular_values(A.cview());
+  const BidiagonalT<T> bd = bnd2bd<T>(B);
+  ASSERT_EQ(bd.d.size(), static_cast<std::size_t>(n));
+  Matrix D(n, n);
+  for (int i = 0; i < n; ++i) D(i, i) = static_cast<double>(bd.d[i]) / scale;
+  for (int i = 0; i + 1 < n; ++i) {
+    D(i, i + 1) = static_cast<double>(bd.e[i]) / scale;
+  }
+  const auto got = jacobi_singular_values(D.cview());
+  ASSERT_EQ(got.size(), ref.size());
+  const double tol = test::tol_eps<T>(4.0 * n) * ref[0];
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_NEAR(got[i], ref[i], tol) << "sv " << i;
+  }
+}
+
+template <class T>
+class Bnd2bdTyped : public ::testing::Test {};
+using Scalars = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(Bnd2bdTyped, Scalars);
+
+// The bands the pipeline produces: ge2val_tall's n = 384, nb = 64 and a
+// 128 x 96 tiled batch member's n = 96, nb = 16.
+TYPED_TEST(Bnd2bdTyped, ProductionShapes) {
+  expect_chase_preserves_sv(random_band_t<TypeParam>(384, 64, 71));
+  expect_chase_preserves_sv(random_band_t<TypeParam>(96, 16, 72));
+}
+
+// n not a multiple of ku: every sweep ends on a clipped block.
+TYPED_TEST(Bnd2bdTyped, RaggedLastBlock) {
+  expect_chase_preserves_sv(random_band_t<TypeParam>(97, 16, 73));
+  expect_chase_preserves_sv(random_band_t<TypeParam>(50, 7, 74));
+}
+
+// ku >= n - 1: each sweep is a single step on a clipped block.
+TYPED_TEST(Bnd2bdTyped, BandAtLeastMatrixWidth) {
+  expect_chase_preserves_sv(random_band_t<TypeParam>(20, 19, 75));
+  expect_chase_preserves_sv(random_band_t<TypeParam>(12, 30, 76));
+}
+
+// n > 9 ku: long sweeps, and the working band's last columns are reached
+// by many blocks.
+TYPED_TEST(Bnd2bdTyped, ManyBlocksPerSweep) {
+  expect_chase_preserves_sv(random_band_t<TypeParam>(200, 8, 77));
+}
+
+// An all-zero column and an all-zero row inside the band: reflectors with
+// a zero pivot or a zero tail.
+TYPED_TEST(Bnd2bdTyped, ZeroColumnAndRowInsideBand) {
+  const int n = 64, ku = 8;
+  BandMatrixT<TypeParam> B = random_band_t<TypeParam>(n, ku, 78);
+  for (int i = 20 - ku; i <= 20; ++i) B.at(i, 20) = TypeParam(0);
+  for (int j = 40; j <= 40 + ku; ++j) B.at(40, j) = TypeParam(0);
+  expect_chase_preserves_sv(B);
+}
+
+// Entries near the ends of the range. The small scales put reflector
+// norms below larfg's rescue threshold min/eps (~1e-292 double, ~1e-31
+// float), so the rescue loop runs.
+TYPED_TEST(Bnd2bdTyped, ExtremeScales) {
+  const bool is_float = sizeof(TypeParam) == sizeof(float);
+  const double big = is_float ? 1e30 : 1e300;
+  const double small = is_float ? 1e-33 : 1e-300;
+  for (const double scale : {big, small}) {
+    SCOPED_TRACE(scale);
+    expect_chase_preserves_sv(random_band_t<TypeParam>(48, 8, 79, scale),
+                              scale);
+  }
 }
 
 class Bd2valP : public ::testing::TestWithParam<int> {};
