@@ -5,7 +5,6 @@
 // We report the per-stage split of GE2VAL across (nb, ib) on a scaled
 // problem, plus measured kernel efficiency per nb.
 #include <algorithm>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "common/flops.hpp"
@@ -20,8 +19,7 @@ int main() {
   using namespace tbsvd;
   using namespace tbsvd::bench;
 
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
+  const int hw = host_cores();
   const int m = full_mode() ? 1536 : 768;
   const int n = m;
 
@@ -38,7 +36,6 @@ int main() {
     GesvdOptions o;
     o.nb = c.nb;
     o.ge2bnd.ib = c.ib;
-    o.ge2bnd.qr_tree = o.ge2bnd.lq_tree = TreeKind::Auto;
     o.ge2bnd.nthreads = hw;
     GesvdTimings t;
     auto sv = gesvd_values(A.cview(), o, &t);

@@ -11,7 +11,6 @@
 //
 // Usage: autotune_compare [--smoke] [--out PATH] [--tune-file PATH]
 #include <algorithm>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "common/flops.hpp"
@@ -33,7 +32,6 @@ double run_case(int m, int n, int nb, int ib, int nthreads, int reps,
   GesvdOptions o;
   o.nb = nb;
   o.ge2bnd.ib = ib;
-  o.ge2bnd.qr_tree = o.ge2bnd.lq_tree = TreeKind::Auto;
   o.ge2bnd.alg = m > n ? BidiagAlg::Auto : BidiagAlg::Bidiag;
   o.ge2bnd.nthreads = nthreads;
   const double secs = time_best(reps, [&] {
@@ -47,8 +45,7 @@ double run_case(int m, int n, int nb, int ib, int nthreads, int reps,
 template <class T>
 void compare_precision(const tune::PrecisionCalib& pc, bool smoke) {
   const char* dt = sizeof(T) == sizeof(float) ? "f32" : "f64";
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
+  const int hw = host_cores();
   const int reps = smoke ? 1 : 3;
   // fig2 shapes: square (2a/2d) and tall-and-skinny (2b/2e).
   struct Shape {

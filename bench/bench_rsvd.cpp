@@ -17,7 +17,6 @@
 //
 // Usage: bench_rsvd [--smoke] [--out PATH]
 #include <algorithm>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "common/flops.hpp"
@@ -56,8 +55,7 @@ int main(int argc, char** argv) {
   const char* out = "BENCH_rsvd.json";
   if (!parse_bench_args(argc, argv, smoke, out)) return 2;
 
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
+  const int hw = host_cores();
   const int reps = smoke ? 1 : 3;
 
   struct Shape {

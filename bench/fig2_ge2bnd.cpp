@@ -29,7 +29,6 @@
 // Usage: fig2_ge2bnd [--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
 //                    [--tune-file PATH]
 #include <algorithm>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "common/flops.hpp"
@@ -108,8 +107,7 @@ int main(int argc, char** argv) {
   }
   if (nb_flag > 0) g_nb = nb_flag;
 
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
+  const int hw = host_cores();
   std::map<Op, double> ktab;
   tune::Calibration cal;
   if (tune_file != nullptr) {

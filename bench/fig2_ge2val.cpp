@@ -23,7 +23,6 @@
 // Usage: fig2_ge2val [--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
 //                    [--tune-file PATH]
 #include <algorithm>
-#include <thread>
 
 #include "baseline/chan.hpp"
 #include "baseline/gebrd.hpp"
@@ -148,8 +147,7 @@ int main(int argc, char** argv) {
   }
   const std::string dsuf = dtype_suffix(g_dtype);
 
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
+  const int hw = host_cores();
 
   print_header(std::string("Fig.2d GE2VAL square, GFlop/s [") +
                    dtype_name(g_dtype) + ", nb=" + std::to_string(g_nb) + "]",

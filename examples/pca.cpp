@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "common/rng.hpp"
 #include "common/timer.hpp"
@@ -50,13 +49,10 @@ int main(int argc, char** argv) {
   // whether the input was pre-scaled and whether any degraded path ran.
   // Tile size through the autotuner's 0-sentinel (tools/autotune writes
   // the calibration it resolves from; 32 is the uncalibrated fallback).
-  // hardware_concurrency() may return 0 (unknown): the option contract
-  // requires nthreads >= 1, so clamp before handing it to the executor.
   GesvdOptions opts;
   opts.nb = tune::resolved_nb(0, sizeof(double), 32);
   opts.ge2bnd.alg = BidiagAlg::Auto;  // tall-and-skinny -> R-BIDIAG
-  opts.ge2bnd.nthreads = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
+  opts.ge2bnd.nthreads = host_cores();
   std::printf("nb = %d (%s), %d threads\n", opts.nb,
               tune::active() ? "calibrated" : "default",
               opts.ge2bnd.nthreads);

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "core/svd.hpp"
 #include "tile/matrix_gen.hpp"
@@ -29,12 +28,8 @@ int main(int argc, char** argv) {
   //    automatic BIDIAG / R-BIDIAG selection, all cores).
   GesvdOptions opts;
   opts.nb = 64;
-  opts.ge2bnd.qr_tree = TreeKind::Auto;
-  opts.ge2bnd.lq_tree = TreeKind::Auto;
   opts.ge2bnd.alg = BidiagAlg::Auto;
-  // hardware_concurrency() may report 0; the option contract is >= 1.
-  opts.ge2bnd.nthreads = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
+  opts.ge2bnd.nthreads = host_cores();
   GesvdTimings t;
   const auto sv = gesvd_values(A.cview(), opts, &t);
 

@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "common/timer.hpp"
 #include "core/ge2bnd.hpp"
@@ -30,10 +29,7 @@ int main(int argc, char** argv) {
   using namespace tbsvd;
   const int n = argc > 1 ? std::atoi(argv[1]) : 192;
   const int max_ratio = argc > 2 ? std::atoi(argv[2]) : 12;
-  // hardware_concurrency() may return 0 (unknown); the executor's
-  // option contract requires nthreads >= 1, so clamp before use.
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
+  const int hw = host_cores();
   const int nb = tune::resolved_nb(0, sizeof(double), 64);
   const int ib = std::min(tune::resolved_ib(0, sizeof(double), 16), nb);
 

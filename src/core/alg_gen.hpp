@@ -24,7 +24,9 @@ namespace tbsvd {
 struct AlgConfig {
   TreeKind qr_tree = TreeKind::Greedy;
   TreeKind lq_tree = TreeKind::Greedy;
-  /// Consumed by the Auto tree: target parallelism = gamma * ncores.
+  /// Consumed by the Auto tree: target parallelism = gamma * ncores. The
+  /// CP and distributed models set it explicitly per modelled node; the
+  /// drivers (ge2bnd_config, tsqr) set host_cores().
   int ncores = 1;
   double gamma = 2.0;
   /// Optional 2D block-cyclic distribution: when set, panels use the

@@ -163,6 +163,15 @@ ExecResult execute_tile_ops(TileMatrixT<T>& A, const std::vector<TileOp>& ops,
   return res;
 }
 
+AlgConfig ge2bnd_config(const Ge2bndOptions& opt) noexcept {
+  AlgConfig cfg;
+  cfg.qr_tree = opt.qr_tree;
+  cfg.lq_tree = opt.lq_tree;
+  cfg.ncores = host_cores();
+  cfg.gamma = opt.gamma;
+  return cfg;
+}
+
 template <class T>
 ExecResult ge2bnd(TileMatrixT<T>& A, const Ge2bndOptions& opt) {
   const int p = A.mt(), q = A.nt();
@@ -179,12 +188,7 @@ ExecResult ge2bnd(TileMatrixT<T>& A, const Ge2bndOptions& opt) {
       }
     }
   }
-  AlgConfig cfg;
-  cfg.qr_tree = opt.qr_tree;
-  cfg.lq_tree = opt.lq_tree;
-  cfg.ncores = opt.nthreads;
-  cfg.gamma = opt.gamma;
-
+  const AlgConfig cfg = ge2bnd_config(opt);
   const bool use_r = (opt.alg == BidiagAlg::RBidiag) ||
                      (opt.alg == BidiagAlg::Auto && prefer_rbidiag(p, q));
   std::vector<TileOp> ops =

@@ -54,17 +54,27 @@ ExecResult execute_tile_ops(TileMatrixT<T>& A, const std::vector<TileOp>& ops,
 
 enum class BidiagAlg { Bidiag, RBidiag, Auto };
 
+/// Reduction trees default to the paper's Auto tree: flat-TS domains
+/// (TSQRT/TSMQR, the cheaper kernels) whose heads a Greedy TT tree merges.
+/// Its domain size targets gamma * host_cores() parallel tasks — the host's
+/// core count, not nthreads — so the op stream, and every bit of the
+/// result, is the same at any thread count. FlatTS, FlatTT and Greedy stay
+/// selectable.
 struct Ge2bndOptions {
-  TreeKind qr_tree = TreeKind::Greedy;
-  TreeKind lq_tree = TreeKind::Greedy;
+  TreeKind qr_tree = TreeKind::Auto;
+  TreeKind lq_tree = TreeKind::Auto;
   BidiagAlg alg = BidiagAlg::Bidiag;
   /// Inner blocking; 0 resolves to the active calibration's tuned value
   /// (tune::resolved_ib) and to the historical 32 when none is loaded.
   int ib = 0;
   int nthreads = 1;
-  double gamma = 2.0;  ///< Auto-tree parallelism target multiplier
+  double gamma = 2.0;  ///< Auto-tree target multiplier of host_cores()
   bool serial = false;
 };
+
+/// The op-stream configuration ge2bnd and bidiag_factored build from opt:
+/// its trees and gamma, with the Auto tree sized for host_cores().
+[[nodiscard]] AlgConfig ge2bnd_config(const Ge2bndOptions& opt) noexcept;
 
 /// Reduce tiled A (p >= q tile grid) to band bidiagonal form in place.
 template <class T>

@@ -19,12 +19,7 @@ Ge2bndFactorsT<T> bidiag_factored(TileMatrixT<T> A, const Ge2bndOptions& opt) {
   f.ib = std::min(
       tune::resolved_ib(opt.ib, static_cast<int>(sizeof(T)), /*fallback=*/32),
       A.nb());
-  AlgConfig cfg;
-  cfg.qr_tree = opt.qr_tree;
-  cfg.lq_tree = opt.lq_tree;
-  cfg.ncores = opt.nthreads;
-  cfg.gamma = opt.gamma;
-  f.ops = build_bidiag_ops(p, q, cfg);
+  f.ops = build_bidiag_ops(p, q, ge2bnd_config(opt));
   f.A = std::move(A);
   f.t = TFactorsT<T>(p, q, f.ib, f.A.nb());
   ExecOptions eo;

@@ -122,7 +122,7 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts) {
 
   AlgConfig cfg;
   cfg.qr_tree = opts.tree;
-  cfg.ncores = opts.nthreads;
+  cfg.ncores = host_cores();
   cfg.gamma = opts.gamma;
   f.ops = build_hqr_ops(p, q, cfg);
   f.t = TFactorsT<T>(p, q, f.ib, nb);

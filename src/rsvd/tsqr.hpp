@@ -47,7 +47,9 @@ struct TsqrOptions {
   /// at nb.
   int ib = 0;
   int nthreads = 1;    ///< executor workers (>= 1)
-  double gamma = 2.0;  ///< Auto-tree parallelism target multiplier
+  /// Auto-tree target multiplier of host_cores() (trees/tree.hpp), not of
+  /// nthreads, so R and Q are bitwise identical at any thread count.
+  double gamma = 2.0;
   bool serial = false; ///< run ops in submission order (debug/reference)
 };
 

@@ -1,5 +1,6 @@
 #include "tile/tile_matrix.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -16,19 +17,32 @@ TileMatrixT<T>::TileMatrixT(int m, int n, int nb)
   buf_.assign(static_cast<std::size_t>(mt_) * nt_ * nb_ * nb_, T(0));
 }
 
+namespace {
+
+// Copy dense A into the leading A.m x A.n entries of Tt with one memcpy
+// per tile column (its rows inside A); entries beyond A are untouched.
 template <class T>
-void TileMatrixT<T>::from_dense(ConstMatrixViewT<T> A) {
-  TBSVD_CHECK(A.m == m_ && A.n == n_, "from_dense shape mismatch");
-  for (int tj = 0; tj < nt_; ++tj) {
-    for (int ti = 0; ti < mt_; ++ti) {
-      MatrixViewT<T> t = tile(ti, tj);
-      ConstMatrixViewT<T> s = A.block(ti * nb_, tj * nb_, nb_, nb_);
-      for (int j = 0; j < nb_; ++j) {
-        std::memcpy(t.col(j), s.col(j),
-                    static_cast<std::size_t>(nb_) * sizeof(T));
+void copy_into_tiles(ConstMatrixViewT<T> A, TileMatrixT<T>& Tt) {
+  const int nb = Tt.nb();
+  for (int tj = 0; tj * nb < A.n; ++tj) {
+    const int ncols = std::min(nb, A.n - tj * nb);
+    for (int ti = 0; ti * nb < A.m; ++ti) {
+      const int nrows = std::min(nb, A.m - ti * nb);
+      MatrixViewT<T> t = Tt.tile(ti, tj);
+      for (int j = 0; j < ncols; ++j) {
+        std::memcpy(t.col(j), A.col(tj * nb + j) + ti * nb,
+                    static_cast<std::size_t>(nrows) * sizeof(T));
       }
     }
   }
+}
+
+}  // namespace
+
+template <class T>
+void TileMatrixT<T>::from_dense(ConstMatrixViewT<T> A) {
+  TBSVD_CHECK(A.m == m_ && A.n == n_, "from_dense shape mismatch");
+  copy_into_tiles<T>(A, *this);
 }
 
 template <class T>
@@ -58,10 +72,7 @@ TileMatrixT<T> tile_from_dense_padded(ConstMatrixViewT<T> A, int nb) {
   const int mp = pad_to_tiles(A.m, nb);
   const int np = pad_to_tiles(A.n, nb);
   TileMatrixT<T> Tt(mp, np, nb);
-  // Copy element-wise through at(); padding stays zero.
-  for (int j = 0; j < A.n; ++j) {
-    for (int i = 0; i < A.m; ++i) Tt.at(i, j) = A(i, j);
-  }
+  copy_into_tiles<T>(A, Tt);  // padding stays zero
   return Tt;
 }
 

@@ -1,6 +1,7 @@
 #include "trees/tree.hpp"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/check.hpp"
 
@@ -75,6 +76,13 @@ StepPlan make_domain_plan(int u, int a) {
   }
   append_binomial(heads, plan.elims);
   return plan;
+}
+
+int host_cores() noexcept {
+  // Read once per process: every solve in it then sizes Auto alike.
+  static const int cores =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  return cores;
 }
 
 int auto_domain_size(int u, const AutoConfig& cfg) noexcept {

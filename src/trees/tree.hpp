@@ -44,6 +44,12 @@ struct StepPlan {
   std::vector<Elim> elims;  ///< eliminations, in a dependency-valid order
 };
 
+/// Core count the drivers (ge2bnd, tsqr) size the Auto tree for:
+/// std::thread::hardware_concurrency(), clamped to >= 1. It is a property
+/// of the host, not of a call's thread count, so the op stream — and with
+/// it every bit of the result — is the same for any nthreads.
+[[nodiscard]] int host_cores() noexcept;
+
 /// Parameters consumed by the Auto tree.
 struct AutoConfig {
   int ncores = 1;

@@ -311,7 +311,6 @@ PrecisionCalib tune_precision(const std::vector<int>& nbs,
       GesvdOptions go;
       go.nb = nb;
       go.ge2bnd.ib = ib;
-      go.ge2bnd.qr_tree = go.ge2bnd.lq_tree = TreeKind::Auto;
       const double secs = time_best_of<T>(reps, [&] {
         auto sv = gesvd_values<T>(A.cview(), go);
         (void)sv;

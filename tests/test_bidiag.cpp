@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "band/band_matrix.hpp"
 #include "band/bnd2bd.hpp"
@@ -99,26 +101,56 @@ TEST(Bidiag, PrescribedSingularValuesRecovered) {
 }
 
 TEST(Bidiag, ParallelMatchesSerialBitwise) {
-  // The runtime enforces sequential consistency, so the reduced band must
-  // be bit-identical regardless of thread count.
-  const int nb = 8, p = 4, q = 4;
+  // The runtime enforces sequential consistency and the Auto tree is sized
+  // by host_cores(), not nthreads, so the reduced band must be bit-identical
+  // at every thread count and in serial mode, for the default options and
+  // every explicit tree. On p = 16, q = 3 tiles an Auto tree sized by the
+  // thread count would pick different domains at 1 and 4 threads.
+  const int nb = 8, p = 16, q = 3;
   Matrix A = generate_random(p * nb, q * nb, 55);
-  auto run = [&](int nthreads) {
-    TileMatrix t(p * nb, q * nb, nb);
-    t.from_dense(A.cview());
+  struct TreeCase {
+    const char* name;
     Ge2bndOptions opt;
-    opt.qr_tree = TreeKind::Greedy;
-    opt.lq_tree = TreeKind::Greedy;
-    opt.nthreads = nthreads;
-    opt.ib = 4;
-    ge2bnd(t, opt);
-    return t.to_dense();
   };
-  Matrix serial = run(1);
-  Matrix parallel = run(2);
-  for (int j = 0; j < serial.cols(); ++j)
-    for (int i = 0; i < serial.rows(); ++i)
-      ASSERT_EQ(serial(i, j), parallel(i, j)) << "(" << i << "," << j << ")";
+  std::vector<TreeCase> cases = {{"default", Ge2bndOptions{}}};
+  for (const TreeKind tree : {TreeKind::Greedy, TreeKind::Auto}) {
+    Ge2bndOptions opt;
+    opt.qr_tree = opt.lq_tree = tree;
+    cases.push_back({tree_name(tree), opt});
+  }
+  for (const TreeCase& c : cases) {
+    for (const BidiagAlg alg : {BidiagAlg::Bidiag, BidiagAlg::RBidiag}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (alg == BidiagAlg::RBidiag ? " R-BIDIAG" : " BIDIAG"));
+      auto run = [&](int nthreads, bool serial) {
+        TileMatrix t(p * nb, q * nb, nb);
+        t.from_dense(A.cview());
+        Ge2bndOptions opt = c.opt;
+        opt.alg = alg;
+        opt.nthreads = nthreads;
+        opt.serial = serial;
+        opt.ib = 4;
+        ge2bnd(t, opt);
+        return t.to_dense();
+      };
+      const Matrix ref = run(1, /*serial=*/true);
+      for (const int nthreads : {1, 2, 4}) {
+        for (const bool serial : {false, true}) {
+          if (nthreads == 1 && serial) continue;  // the reference itself
+          const Matrix got = run(nthreads, serial);
+          int differ = 0;
+          for (int j = 0; j < ref.cols(); ++j) {
+            for (int i = 0; i < ref.rows(); ++i) {
+              differ += ref(i, j) != got(i, j);
+            }
+          }
+          EXPECT_EQ(differ, 0) << "entries differ from the 1-thread serial run"
+                               << " at nthreads " << nthreads
+                               << (serial ? " (serial)" : "");
+        }
+      }
+    }
+  }
 }
 
 class HqrP

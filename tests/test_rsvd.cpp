@@ -120,27 +120,34 @@ TEST(Tsqr, ConformsToDenseOracleFloat) {
 }
 
 TEST(Tsqr, ThreadedMatchesSerialBitwise) {
+  // The Auto tree is sized by host_cores(), not nthreads, so it must be as
+  // deterministic across thread counts as the fixed Greedy tree.
   const Matrix A = random_matrix(256, 64, 77);
-  TsqrOptions serial;
-  serial.nb = 32;
-  serial.serial = true;
-  TsqrOptions threaded;
-  threaded.nb = 32;
-  threaded.nthreads = 4;
-  const TsqrFactors fs = tsqr<double>(A.cview(), serial);
-  const TsqrFactors ft = tsqr<double>(A.cview(), threaded);
-  const Matrix Rs = fs.r();
-  const Matrix Rt = ft.r();
-  for (int j = 0; j < 64; ++j) {
-    for (int i = 0; i <= j; ++i) {
-      EXPECT_EQ(Rs(i, j), Rt(i, j)) << "R not deterministic at " << i << ","
-                                    << j;
+  for (const TreeKind tree : {TreeKind::Greedy, TreeKind::Auto}) {
+    SCOPED_TRACE(tree_name(tree));
+    TsqrOptions serial;
+    serial.tree = tree;
+    serial.nb = 32;
+    serial.serial = true;
+    TsqrOptions threaded = serial;
+    threaded.serial = false;
+    threaded.nthreads = 4;
+    const TsqrFactors fs = tsqr<double>(A.cview(), serial);
+    const TsqrFactors ft = tsqr<double>(A.cview(), threaded);
+    const Matrix Rs = fs.r();
+    const Matrix Rt = ft.r();
+    int r_diff = 0;
+    for (int j = 0; j < 64; ++j) {
+      for (int i = 0; i <= j; ++i) r_diff += Rs(i, j) != Rt(i, j);
     }
-  }
-  const Matrix Qs = tsqr_form_q<double>(fs);
-  const Matrix Qt = tsqr_form_q<double>(ft, /*nthreads=*/4);
-  for (int j = 0; j < 64; ++j) {
-    for (int i = 0; i < 256; ++i) EXPECT_EQ(Qs(i, j), Qt(i, j));
+    EXPECT_EQ(r_diff, 0) << "R entries differ between serial and 4 threads";
+    const Matrix Qs = tsqr_form_q<double>(fs);
+    const Matrix Qt = tsqr_form_q<double>(ft, /*nthreads=*/4);
+    int q_diff = 0;
+    for (int j = 0; j < 64; ++j) {
+      for (int i = 0; i < 256; ++i) q_diff += Qs(i, j) != Qt(i, j);
+    }
+    EXPECT_EQ(q_diff, 0) << "Q entries differ between serial and 4 threads";
   }
 }
 

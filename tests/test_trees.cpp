@@ -6,6 +6,8 @@
 #include <tuple>
 #include <vector>
 
+#include "core/alg_gen.hpp"
+#include "core/ge2bnd.hpp"
 #include "trees/hier_tree.hpp"
 #include "trees/tree.hpp"
 
@@ -145,6 +147,23 @@ TEST(AutoTree, ManyCoresGiveGreedy) {
   ac.gamma = 2.0;
   ac.ntrail = 1;
   EXPECT_EQ(auto_domain_size(40, ac), 1);  // degenerates to Greedy
+}
+
+TEST(AutoTree, DefaultRbidiagOnTallGridUsesTsKernels) {
+  // GE2BND's default trees are Auto sized by host_cores(): on a grid with
+  // more than 4 * host_cores() tile rows the first QR panel meets the
+  // 2 * host_cores() target with domains of >= 2 tiles, so R-BIDIAG
+  // eliminates inside them with TSQRT/TSMQR.
+  const int p = 4 * host_cores() + 8, q = 2;
+  const std::vector<TileOp> ops =
+      build_rbidiag_ops(p, q, ge2bnd_config(Ge2bndOptions{}));
+  int tsqrt = 0, tsmqr = 0;
+  for (const TileOp& t : ops) {
+    tsqrt += t.op == Op::TSQRT;
+    tsmqr += t.op == Op::TSMQR;
+  }
+  EXPECT_GT(tsqrt, 0);
+  EXPECT_GT(tsmqr, 0);
 }
 
 TEST(AutoTree, DomainPlanMatchesExtremes) {
