@@ -10,6 +10,9 @@
 // the historical 64/16.
 //
 //   ./tall_skinny [n] [max_ratio]
+//
+// Exits 1 if the 1e300-scaled solve is not flagged scaled or strays more
+// than 1e-12 relative from the unscaled solve.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -79,6 +82,7 @@ int main(int argc, char** argv) {
   // 1e300 would overflow reflector norms without the driver's safe
   // pre-scaling (docs/ROBUSTNESS.md). SvdInfo reports the scaling; the
   // spectrum matches the well-scaled solve to full relative accuracy.
+  bool scaled_ok = false;
   {
     const int m = 8 * n;
     Matrix A = generate_random(m, n, 99);
@@ -92,12 +96,17 @@ int main(int argc, char** argv) {
     SvdInfo info;
     const auto sv = gesvd_values(A.cview(), sopt, nullptr, &info);
     double maxrel = 0.0;
-    for (std::size_t i = 0; i < sv.size(); ++i)
-      maxrel = std::max(maxrel, std::fabs(sv[i] / 1e300 - ref[i]) / ref[i]);
+    bool within = true;  // a NaN deviation fails the comparison
+    for (std::size_t i = 0; i < sv.size(); ++i) {
+      const double dev = std::fabs(sv[i] / 1e300 - ref[i]) / ref[i];
+      maxrel = std::max(maxrel, dev);
+      within = within && dev <= 1e-12;
+    }
     std::printf("\n1e300-scaled %d x %d solve: status=%s scaled=%d "
                 "(amax %.2e -> %.2e), max rel dev vs unscaled %.2e\n",
                 m, n, status_name(info.status), info.scaled ? 1 : 0,
                 info.scale_from, info.scale_to, maxrel);
+    scaled_ok = info.scaled && within;
   }
 
   const int q = std::max(1, n / nb);
@@ -109,5 +118,5 @@ int main(int argc, char** argv) {
   std::printf("  paper-style estimate: p* = %d  (delta_s = %.2f; paper "
               "reports 5..8)\n",
               est.p_switch, est.delta_s);
-  return 0;
+  return scaled_ok ? 0 : 1;
 }

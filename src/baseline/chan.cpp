@@ -26,26 +26,22 @@ std::vector<double> chan_singular_values(ConstMatrixViewT<T> A,
     return gebrd_singular_values<T>(A, opts.gebrd);
   }
   // preQR: factor A = Q R, then bidiagonalize the n x n R. The factor copy
-  // is pre-scaled into the safe range (docs/ROBUSTNESS.md) so the reflector
-  // norms cannot overflow. The inner GEBRD driver scales and unscales its
-  // own copy of R independently, so the two layers compose; this level only
-  // undoes its own factor on the final spectrum.
-  const ExtremeScan scan = scan_extremes<T>(A);
-  if (!scan.finite) {
-    throw numerical_hazard_error(
-        "chan_singular_values: non-finite entry in input");
-  }
+  // is pre-scaled into the safe range once, as dgesvd does
+  // (docs/ROBUSTNESS.md), so the reflector norms cannot overflow; R
+  // inherits that scale and GEBRD + BD2VAL run on it directly.
   MatrixT<T> W(m, n);
   copy<T>(A, W.view());
-  const double target = svd_safe_target<T>(scan.amax);
-  if (target != scan.amax) scale_stepwise<T>(W.view(), scan.amax, target);
+  const ScaledSolve<T> guard("chan_singular_values", W.view());
   std::vector<T> tau(n);
   geqrf<T>(W.view(), tau.data(), opts.qr_nb);
   MatrixT<T> R(n, n);
   for (int j = 0; j < n; ++j)
     for (int i = 0; i <= j; ++i) R(i, j) = W(i, j);
-  std::vector<double> sv = gebrd_singular_values<T>(R.cview(), opts.gebrd);
-  if (target != scan.amax) scale_stepwise<double>(sv, target, scan.amax);
+  std::vector<T> d, e;
+  gebrd<T>(R.view(), d, e, opts.gebrd);
+  std::vector<T> svt = bd2val<T>(std::move(d), std::move(e));
+  std::vector<double> sv(svt.begin(), svt.end());
+  guard.unscale(sv);
   return sv;
 }
 

@@ -52,20 +52,14 @@ template <class T>
 std::vector<double> gebd2_singular_values(ConstMatrixViewT<T> A) {
   TBSVD_CHECK(A.m >= A.n, "gebd2_singular_values requires m >= n");
   if (A.n == 0) return {};
-  const ExtremeScan scan = scan_extremes<T>(A);
-  if (!scan.finite) {
-    throw numerical_hazard_error(
-        "gebd2_singular_values: non-finite entry in input");
-  }
   MatrixT<T> W(A.m, A.n);
   copy<T>(A, W.view());
-  const double target = svd_safe_target<T>(scan.amax);
-  if (target != scan.amax) scale_stepwise<T>(W.view(), scan.amax, target);
+  const ScaledSolve<T> guard("gebd2_singular_values", W.view());
   std::vector<T> d, e;
   gebd2<T>(W.view(), d, e);
   std::vector<T> svt = bd2val<T>(std::move(d), std::move(e));
   std::vector<double> sv(svt.begin(), svt.end());
-  if (target != scan.amax) scale_stepwise<double>(sv, target, scan.amax);
+  guard.unscale(sv);
   return sv;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <new>
-#include <type_traits>
 
 #include "band/bd2val.hpp"
 #include "batched/small_svd.hpp"
@@ -139,14 +138,6 @@ void check_view(const MatrixViewT<T>& v, const char* who) {
   }
 }
 
-template <class T>
-void check_finite(ConstMatrixViewT<T> v, const char* who) {
-  if (!scan_extremes<T>(v).finite) {
-    throw numerical_hazard_error(std::string(who) +
-                                 ": non-finite entry in input");
-  }
-}
-
 }  // namespace
 
 template <class T>
@@ -211,40 +202,23 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
       // dominate at serving extents, so go direct — recursive-panel preQR
       // (Chan's ordering) collapses tall problems to nw x nw, one-stage
       // GEBRD bidiagonalizes, BD2VAL solves. Same hazard contract as the
-      // tiled driver: reject non-finite input, pre-scale extreme norms,
-      // unscale the spectrum on exit (docs/ROBUSTNESS.md).
-      const ExtremeScan scan = scan_extremes<T>(p);
-      if (!scan.finite) {
-        throw numerical_hazard_error(
-            "batched::svd: non-finite entry in input");
-      }
+      // tiled driver, guarding the staged copy (docs/ROBUSTNESS.md).
       MatrixViewT<T> s(ar.stage, mw, nw, mw);
       if (wide) {
         transpose<T>(p, s);
       } else {
         copy<T>(p, s);
       }
-      const double target = svd_safe_target<T>(scan.amax);
+      const ScaledSolve<T> guard("batched::svd", s);
       SvdInfo& info = res.infos[i];
-      if (target != scan.amax) {
-        scale_stepwise<T>(s, scan.amax, target);
-        info.scaled = true;
-        info.scale_from = scan.amax;
-        info.scale_to = target;
-      }
       Bd2valInfo bi;
       const std::vector<T> svt =
           small_svd_values<T>(s, ar.tfac, ar.rbuf, {}, &bi);
       info.status = bi.status;
       info.qr_iterations = bi.qr_iterations;
       info.bisection_fallback = bi.bisection_fallback;
-      info.reduce_precision =
-          std::is_same_v<T, float> ? Precision::F32 : Precision::F64;
-      info.values_precision = info.reduce_precision;
       res.values[i].assign(svt.begin(), svt.end());
-      if (info.scaled) {
-        scale_stepwise<double>(res.values[i], target, scan.amax);
-      }
+      guard.unscale(res.values[i], &info);
       res.reports[i].status = info.status;
       return;
     }
@@ -266,21 +240,19 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
 
     // R-first pre-reduction for tall problems (the paper's R-bidiag
     // ordering): one recursive QR panel collapses mw x nw to nw x nw
-    // before the bidiagonalization pipeline runs.
+    // before the bidiagonalization pipeline runs. The staged copy is
+    // guarded before the QR does arithmetic on it; the tiled driver then
+    // guards R on its own, and the member reports the input-level scaling.
     if (mw > 2 * nw) {
       MatrixViewT<T> s(ar.stage, mw, nw, mw);
       if (!wide) copy<T>(w, s);
-      MatrixViewT<T> tf(ar.tfac, nw, nw, nw);
-      geqrf_rec<T>(s, tf);
-      std::fill(ar.rbuf, ar.rbuf + static_cast<std::size_t>(nw) * nw, T(0));
-      MatrixViewT<T> r(ar.rbuf, nw, nw, nw);
-      for (int j = 0; j < nw; ++j) {
-        for (int ii = 0; ii <= j; ++ii) r(ii, j) = s(ii, j);
-      }
-      w = r;
+      const ScaledSolve<T> guard("batched::svd", s);
+      res.values[i] = gesvd_values<T>(reduce_to_r<T>(s, ar.tfac, ar.rbuf),
+                                      go, nullptr, &res.infos[i]);
+      guard.unscale(res.values[i], &res.infos[i]);
+    } else {
+      res.values[i] = gesvd_values<T>(w, go, nullptr, &res.infos[i]);
     }
-
-    res.values[i] = gesvd_values<T>(w, go, nullptr, &res.infos[i]);
     res.reports[i].status = res.infos[i].status;
   });
   return res;
@@ -309,7 +281,7 @@ std::vector<ProblemReport> qr(std::vector<QrProblem<T>>& problems,
     if (p.Tm.m < k || p.Tm.n < k) {
       throw invalid_argument_error("batched::qr: T factor smaller than k x k");
     }
-    check_finite<T>(p.A, "batched::qr");
+    ScaledSolve<T>::require_finite("batched::qr", p.A);
     geqrf_rec<T>(p.A, p.Tm);
   });
   return reports;
@@ -356,8 +328,8 @@ std::vector<ProblemReport> gels(std::vector<GelsProblem<T>>& problems,
     }
     const int n = p.A.n;
     if (n == 0) return;  // zero unknowns: X is empty
-    check_finite<T>(p.A, "batched::gels");
-    if (p.B.n > 0) check_finite<T>(p.B, "batched::gels");
+    ScaledSolve<T>::require_finite("batched::gels", p.A);
+    if (p.B.n > 0) ScaledSolve<T>::require_finite("batched::gels", p.B);
 
     MatrixViewT<T> tf(ar.tfac, n, n, n);
     geqrf_rec<T>(p.A, tf);

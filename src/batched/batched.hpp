@@ -84,7 +84,7 @@ struct GelsProblem {
 /// Batched singular values. values[i] holds problem i's spectrum
 /// (descending, in double like the single-problem drivers) when
 /// reports[i].ok(); infos[i] carries the per-problem SvdInfo diagnostics
-/// (scaling, fallback, precision split).
+/// (scaling, fallback).
 struct SvdBatchResult {
   std::vector<std::vector<double>> values;
   std::vector<ProblemReport> reports;

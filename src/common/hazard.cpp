@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -119,6 +120,47 @@ void scale_stepwise(std::vector<T>& x, double cfrom, double cto) {
   scale_stepwise<T>(x.data(), x.size(), cfrom, cto);
 }
 
+namespace {
+
+[[noreturn]] void throw_non_finite(const char* who) {
+  throw numerical_hazard_error(std::string(who) +
+                               ": non-finite entry in input");
+}
+
+}  // namespace
+
+template <class T>
+void ScaledSolve<T>::require_finite(const char* who, ConstMatrixViewT<T> A) {
+  if (!scan_extremes<T>(A).finite) throw_non_finite(who);
+}
+
+template <class T>
+ScaledSolve<T>::ScaledSolve(const char* who, const MatrixViewT<T>* blocks,
+                            std::size_t count) {
+  for (std::size_t b = 0; b < count; ++b) {
+    const ExtremeScan s = scan_extremes<T>(blocks[b]);
+    if (!s.finite) throw_non_finite(who);
+    if (s.amax > amax_) amax_ = s.amax;
+  }
+  target_ = svd_safe_target<T>(amax_);
+  if (!scaled()) return;
+  for (std::size_t b = 0; b < count; ++b) {
+    scale_stepwise<T>(blocks[b], amax_, target_);
+  }
+}
+
+template <class T>
+void ScaledSolve<T>::unscale(std::vector<double>& values,
+                             SvdInfo* info) const {
+  if (!scaled()) return;
+  scale_stepwise<double>(values, target_, amax_);
+  if (info != nullptr) {
+    info->scaled = true;
+    info->scale_from = amax_;
+    info->scale_to = target_;
+  }
+}
+
 #define TBSVD_INSTANTIATE_HAZARD(T)                                          \
   template ExtremeScan scan_extremes<T>(const T*, std::size_t) noexcept;     \
   template ExtremeScan scan_extremes<T>(ConstMatrixViewT<T>) noexcept;       \
@@ -129,7 +171,8 @@ void scale_stepwise(std::vector<T>& x, double cfrom, double cto) {
   template double svd_safe_target<T>(double) noexcept;                       \
   template void scale_stepwise<T>(T*, std::size_t, double, double);          \
   template void scale_stepwise<T>(MatrixViewT<T>, double, double);           \
-  template void scale_stepwise<T>(std::vector<T>&, double, double);
+  template void scale_stepwise<T>(std::vector<T>&, double, double);          \
+  template class ScaledSolve<T>;
 
 TBSVD_INSTANTIATE_HAZARD(float)
 TBSVD_INSTANTIATE_HAZARD(double)

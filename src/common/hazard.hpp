@@ -1,12 +1,12 @@
 // Numerical-hazard detection and LAPACK-style safe scaling, templated over
 // the storage scalar T in {float, double}.
 //
-// The SVD drivers scan their input once up front: NaN/Inf throws
-// numerical_hazard_error immediately (iterating on non-finite data can
-// spin forever), and matrices whose max-norm falls outside
-// [svd_safe_min<T>(), svd_safe_max<T>()] are scaled into that range before
-// the reduction and the singular values unscaled on exit — the
-// dgesvd/dlascl protocol, which keeps every intermediate quantity (norms,
+// Every singular-value driver runs the dgesvd/dlascl protocol through one
+// ScaledSolve<T>: scan the working storage once (NaN/Inf throws
+// numerical_hazard_error immediately, since iterating on non-finite data
+// can spin forever), scale it in place into [svd_safe_min<T>(),
+// svd_safe_max<T>()] when its max-norm falls outside, and unscale the
+// singular values on exit. That keeps every intermediate quantity (norms,
 // Gram entries, shifts) representable without overflow or destructive
 // underflow. The bounds are numeric_limits<T>-derived, so the float path
 // gets float-sized safety margins (smlnum ~ 9.1e-13, bignum ~ 1.1e12)
@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/error.hpp"
 #include "lac/dense.hpp"
 
 namespace tbsvd {
@@ -68,5 +69,57 @@ template <class T>
 void scale_stepwise(MatrixViewT<T> A, double cfrom, double cto);
 template <class T>
 void scale_stepwise(std::vector<T>& x, double cfrom, double cto);
+
+/// Per-solve diagnostics: what the hazard-hardening layer did. status is
+/// Ok on the clean path and Degraded when a fallback produced the (still
+/// correct) result; hazards that cannot be absorbed throw instead.
+struct SvdInfo {
+  Status status = Status::Ok;
+  bool scaled = false;       ///< safe pre-scaling was applied
+  double scale_from = 0.0;   ///< input max-norm (valid when scaled)
+  double scale_to = 0.0;     ///< safe-range target norm (valid when scaled)
+  long long qr_iterations = 0;   ///< BD2VAL inner QR-iteration steps
+  bool bisection_fallback = false;  ///< BD2VAL degraded to Sturm bisection
+
+  /// True when the returned values are trustworthy — a flagged degraded
+  /// solve (e.g. the Sturm bisection fallback) still produced a correct
+  /// spectrum, just off the primary path.
+  [[nodiscard]] bool ok() const noexcept {
+    return status == Status::Ok || status == Status::Degraded;
+  }
+};
+
+/// The hazard guard of one singular-value solve. Construction scans the
+/// storage the driver works on (its copy, its staging buffer, or the tiles
+/// gesvd_values consumes in place), throws
+/// numerical_hazard_error("<who>: non-finite entry in input") on NaN/Inf,
+/// and scales that storage in place to svd_safe_target<T>(amax) when amax
+/// leaves the safe range. unscale() maps the computed values back.
+template <class T>
+class ScaledSolve {
+ public:
+  ScaledSolve(const char* who, MatrixViewT<T> work)
+      : ScaledSolve(who, &work, 1) {}
+  /// Working storage held in several blocks (the tiles of a TileMatrixT).
+  ScaledSolve(const char* who, const std::vector<MatrixViewT<T>>& blocks)
+      : ScaledSolve(who, blocks.data(), blocks.size()) {}
+
+  /// Undoes the scaling on the singular values of the scaled storage and,
+  /// when scaling was applied, records it in info (scaled, scale_from =
+  /// the input's amax, scale_to = the target).
+  void unscale(std::vector<double>& values, SvdInfo* info = nullptr) const;
+
+  /// The finite-only check, for drivers that need no scaling (QR, least
+  /// squares): throws exactly as the constructor does on NaN/Inf.
+  static void require_finite(const char* who, ConstMatrixViewT<T> A);
+
+ private:
+  ScaledSolve(const char* who, const MatrixViewT<T>* blocks,
+              std::size_t count);
+  [[nodiscard]] bool scaled() const noexcept { return target_ != amax_; }
+
+  double amax_ = 0.0;
+  double target_ = 0.0;
+};
 
 }  // namespace tbsvd

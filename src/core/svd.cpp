@@ -7,7 +7,6 @@
 #include "band/bnd2bd.hpp"
 #include "common/check.hpp"
 #include "common/fault.hpp"
-#include "common/hazard.hpp"
 #include "common/timer.hpp"
 #include "tune/tune.hpp"
 
@@ -27,35 +26,6 @@ int resolve_dense_nb(int requested, int n) {
   return std::max(1, std::min(nb, std::max(64, n)));
 }
 
-// One pass over every tile: finiteness plus max |a_ij|. Padding tiles are
-// zero, so they never affect the result.
-template <class T>
-ExtremeScan scan_tiles(const TileMatrixT<T>& A) {
-  ExtremeScan s;
-  for (int j = 0; j < A.nt(); ++j) {
-    for (int i = 0; i < A.mt(); ++i) {
-      const ExtremeScan c = scan_extremes<T>(A.tile(i, j));
-      s.finite = s.finite && c.finite;
-      if (c.amax > s.amax) s.amax = c.amax;
-    }
-  }
-  return s;
-}
-
-template <class T>
-void scale_tiles(TileMatrixT<T>& A, double cfrom, double cto) {
-  for (int j = 0; j < A.nt(); ++j) {
-    for (int i = 0; i < A.mt(); ++i) {
-      scale_stepwise<T>(A.tile(i, j), cfrom, cto);
-    }
-  }
-}
-
-template <class T>
-constexpr Precision precision_of() {
-  return sizeof(T) == sizeof(float) ? Precision::F32 : Precision::F64;
-}
-
 }  // namespace
 
 template <class T>
@@ -65,24 +35,15 @@ std::vector<double> gesvd_values(TileMatrixT<T>& A, const GesvdOptions& opts,
   SvdInfo local_info;
   SvdInfo& si = (info != nullptr) ? *info : local_info;
   si = SvdInfo{};
-  si.reduce_precision = precision_of<T>();
-  si.values_precision = precision_of<T>();
 
-  // Hazard scan + dlascl-style safe pre-scaling (dgesvd protocol): bring
-  // extreme norms into the per-precision range [svd_safe_min<T>(),
-  // svd_safe_max<T>()] so the reduction squares nothing out of range, and
-  // unscale the spectrum on exit.
-  const ExtremeScan scan = scan_tiles<T>(A);
-  if (!scan.finite) {
-    throw numerical_hazard_error("gesvd_values: non-finite entry in input");
+  // Hazard scan + safe pre-scaling of the tiles in place (padding tiles
+  // are zero, so they never affect amax); unscale the spectrum on exit.
+  std::vector<MatrixViewT<T>> tiles;
+  tiles.reserve(static_cast<std::size_t>(A.mt()) * A.nt());
+  for (int j = 0; j < A.nt(); ++j) {
+    for (int i = 0; i < A.mt(); ++i) tiles.push_back(A.tile(i, j));
   }
-  const double target = svd_safe_target<T>(scan.amax);
-  if (target != scan.amax) {
-    scale_tiles<T>(A, scan.amax, target);
-    si.scaled = true;
-    si.scale_from = scan.amax;
-    si.scale_to = target;
-  }
+  const ScaledSolve<T> guard("gesvd_values", tiles);
   if (TBSVD_FAULT_FIRE("core.svd.poison_tile")) {
     A.tile(0, 0)(0, 0) = std::numeric_limits<T>::quiet_NaN();
   }
@@ -102,9 +63,8 @@ std::vector<double> gesvd_values(TileMatrixT<T>& A, const GesvdOptions& opts,
   si.qr_iterations = bi.qr_iterations;
   si.bisection_fallback = bi.bisection_fallback;
   si.status = bi.status;
-  si.ge2bnd_tasks = r.ntasks;
   std::vector<double> sv(svt.begin(), svt.end());
-  if (si.scaled) scale_stepwise<double>(sv, si.scale_to, si.scale_from);
+  guard.unscale(sv, &si);
 
   if (timings != nullptr) {
     timings->ge2bnd_seconds = t1;

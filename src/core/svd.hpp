@@ -4,11 +4,11 @@
 // double}; singular values are always returned in double (float results
 // embed exactly), while every pipeline stage runs in T arithmetic.
 //
-// Hazard contract (docs/ROBUSTNESS.md): the input is scanned once up
-// front — NaN/Inf throws numerical_hazard_error; a max-norm outside the
-// per-precision safe range [svd_safe_min<T>(), svd_safe_max<T>()] is
-// scaled into it before the reduction (LAPACK dgesvd/dlascl protocol) and
-// the singular values are unscaled on exit, flagged in SvdInfo. A
+// Hazard contract (docs/ROBUSTNESS.md): the tiles are guarded by
+// ScaledSolve<T> (common/hazard.hpp) up front — NaN/Inf throws
+// numerical_hazard_error; a max-norm outside the per-precision safe range
+// is scaled into it before the reduction (LAPACK dgesvd/dlascl protocol)
+// and the singular values are unscaled on exit, flagged in SvdInfo. A
 // QR-iteration stall in BD2VAL degrades to Sturm bisection
 // (Status::Degraded) instead of failing.
 #pragma once
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "band/bd2val.hpp"
-#include "common/error.hpp"
+#include "common/hazard.hpp"
 #include "core/ge2bnd.hpp"
 #include "lac/dense.hpp"
 
@@ -39,34 +39,6 @@ struct GesvdTimings {
   std::size_t ge2bnd_tasks = 0;
   [[nodiscard]] double total() const noexcept {
     return ge2bnd_seconds + bnd2bd_seconds + bd2val_seconds;
-  }
-};
-
-/// Which precision a pipeline stage ran in.
-enum class Precision { F32, F64 };
-
-/// Per-solve diagnostics: what the hazard-hardening layer did. status is
-/// Ok on the clean path and Degraded when a fallback produced the (still
-/// correct) result; hazards that cannot be absorbed throw instead.
-struct SvdInfo {
-  Status status = Status::Ok;
-  bool scaled = false;       ///< safe pre-scaling was applied
-  double scale_from = 0.0;   ///< input max-norm (valid when scaled)
-  double scale_to = 0.0;     ///< safe-range target norm (valid when scaled)
-  long long qr_iterations = 0;   ///< BD2VAL inner QR-iteration steps
-  bool bisection_fallback = false;  ///< BD2VAL degraded to Sturm bisection
-  std::size_t ge2bnd_tasks = 0;
-
-  /// Precision of the reduction stages (GE2BND + BND2BD) and of the
-  /// eigensolve stages (BD2VAL / Sturm) of the solve.
-  Precision reduce_precision = Precision::F64;
-  Precision values_precision = Precision::F64;
-
-  /// True when the returned values are trustworthy — a flagged degraded
-  /// solve (e.g. the Sturm bisection fallback) still produced a correct
-  /// spectrum, just off the primary path.
-  [[nodiscard]] bool ok() const noexcept {
-    return status == Status::Ok || status == Status::Degraded;
   }
 };
 

@@ -21,11 +21,6 @@ namespace {
 /// Library default for GesvdTruncatedOptions::oversample == 0.
 constexpr int kDefaultOversample = 8;
 
-template <class T>
-constexpr Precision precision_of() {
-  return sizeof(T) == sizeof(float) ? Precision::F32 : Precision::F64;
-}
-
 /// One-sided Jacobi with accumulated right rotations: on exit the columns
 /// of W (n x l) are mutually orthogonal, J (l x l, entered as identity)
 /// holds the accumulated rotation product, and sigma[j] = ||W col j||.
@@ -112,25 +107,12 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   const int m = A.m, n = A.n;
   TruncatedSvdT<T> res;
   SvdInfo& si = res.info;
-  si.reduce_precision = precision_of<T>();
-  si.values_precision = precision_of<T>();
-
-  const ExtremeScan scan = scan_extremes<T>(A);
-  if (!scan.finite) {
-    throw numerical_hazard_error("gesvd_truncated: non-finite entry in input");
-  }
 
   // Safe-scaled working copy (the sketch products square the norm, so the
   // sketch must see data already inside the per-precision safe range).
   MatrixT<T> Aw(m, n);
   copy<T>(A, Aw.view());
-  const double target = svd_safe_target<T>(scan.amax);
-  if (target != scan.amax) {
-    scale_stepwise<T>(Aw.view(), scan.amax, target);
-    si.scaled = true;
-    si.scale_from = scan.amax;
-    si.scale_to = target;
-  }
+  const ScaledSolve<T> guard("gesvd_truncated", Aw.view());
 
   const int oversample =
       tune::resolved_oversample(opts.oversample, kDefaultOversample);
@@ -155,11 +137,8 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   qo.nb = opts.nb;
   qo.ib = opts.ib;
   qo.nthreads = opts.nthreads;
-  std::size_t tasks = 0;
   auto orthonormalize = [&](ConstMatrixViewT<T> X) {
-    TsqrFactorsT<T> f = tsqr<T>(X, qo);
-    tasks += f.ntasks;
-    return tsqr_form_q<T>(f, opts.nthreads);
+    return tsqr_form_q<T>(tsqr<T>(X, qo), opts.nthreads);
   };
 
   // Subspace iteration on (A A^T), re-orthonormalized through TSQR on the
@@ -167,7 +146,7 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   // basis against collapse onto the top vector, while the expensive tall
   // m x l TSQR runs exactly once, after the loop. The unnormalized
   // intermediates stay inside the safe range because the dlascl
-  // pre-scaling above caps amax at svd_safe_target — chosen so amax^2
+  // pre-scaling above caps amax at the safe-range target, chosen so amax^2
   // times the dimension factors cannot overflow the working precision.
   for (int it = 0; it < opts.power_iters; ++it) {
     MatrixT<T> Z(n, l);
@@ -178,7 +157,6 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
             Y.view());
   }
   const MatrixT<T> Q = orthonormalize(Y.cview());  // m x l
-  si.ge2bnd_tasks = tasks;
 
   // Projected matrix, stored transposed: W = A^T Q = B^T (n x l, tall),
   // the m >= n orientation the shared direct staging wants.
@@ -227,9 +205,7 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
             res.U.view());
   }
 
-  if (si.scaled) {
-    scale_stepwise<double>(res.values, si.scale_to, si.scale_from);
-  }
+  guard.unscale(res.values, &si);
   return res;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/error.hpp"
 #include "common/hazard.hpp"
 #include "core/alg_gen.hpp"
 #include "kernels/qr_kernels.hpp"
@@ -106,9 +105,7 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts) {
   TBSVD_CHECK(opts.nb >= 0 && opts.ib >= 0,
               "tsqr: nb/ib must be >= 0 (0 = tuned)");
   TBSVD_CHECK(opts.nthreads >= 1, "tsqr: nthreads must be >= 1");
-  if (!scan_extremes<T>(A).finite) {
-    throw numerical_hazard_error("tsqr: non-finite entry in input");
-  }
+  ScaledSolve<T>::require_finite("tsqr", A);
 
   TsqrFactorsT<T> f;
   f.m = A.m;

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "batched/batched.hpp"
 #include "common/fault.hpp"
+#include "common/hazard.hpp"
 #include "lac/jacobi_svd.hpp"
 #include "lac/qr_rec.hpp"
 #include "test_harness.hpp"
@@ -156,6 +158,56 @@ TYPED_TEST(BatchedT, InvalidViewIsIsolatedInvalidArgument) {
   EXPECT_EQ(res.reports[1].status, Status::InvalidArgument);
   for (std::size_t i = 0; i < views.size(); ++i) {
     if (i != 1) EXPECT_TRUE(res.reports[i].ok()) << i;
+  }
+}
+
+// Extreme-norm members on every svd branch: direct (200x30), tiled (90x49)
+// and tiled R-first, tall (200x49) and wide (49x200). Each member must be
+// guarded before any arithmetic touches it: it reports the input-level
+// scaling and matches the single-problem driver on the same input. An
+// unguarded R-first QR overflows on the float 5e37 inputs.
+TYPED_TEST(BatchedT, ExtremeNormMembersScaleOnEveryBranch) {
+  using T = TypeParam;
+  const std::vector<double> scales = std::is_same_v<T, float>
+                                         ? std::vector<double>{5e37, 1e-30}
+                                         : std::vector<double>{1e300, 1e-300};
+  const std::vector<std::pair<int, int>> dims = {
+      {200, 30}, {90, 49}, {200, 49}, {49, 200}};
+  for (const double c : scales) {
+    std::vector<MatrixT<T>> mats;
+    std::uint64_t seed = 500;
+    for (const auto& [m, n] : dims) {
+      MatrixT<T> A = test::random_matrix<T>(m, n, seed++);
+      for (int j = 0; j < n; ++j)
+        for (int i = 0; i < m; ++i) A(i, j) = static_cast<T>(c * A(i, j));
+      mats.push_back(std::move(A));
+    }
+    std::vector<ConstMatrixViewT<T>> views;
+    for (const auto& a : mats) views.push_back(a.cview());
+    batched::BatchOptions opts;
+    opts.nthreads = 2;
+    opts.direct_max_cols = 48;  // keeps each shape on its branch
+    const batched::SvdBatchResult res = batched::svd<T>(views, opts);
+    for (std::size_t i = 0; i < mats.size(); ++i) {
+      const MatrixT<T>& A = mats[i];
+      SCOPED_TRACE(::testing::Message()
+                   << A.rows() << "x" << A.cols() << " scaled by " << c);
+      ASSERT_TRUE(res.reports[i].ok()) << res.reports[i].message;
+      EXPECT_TRUE(res.infos[i].scaled);
+      EXPECT_EQ(res.infos[i].scale_from, scan_extremes<T>(A.cview()).amax);
+
+      MatrixT<T> tall = A;  // the single-problem driver needs m >= n
+      if (A.rows() < A.cols()) {
+        tall = MatrixT<T>(A.cols(), A.rows());
+        transpose<T>(A.cview(), tall.view());
+      }
+      const auto ref = gesvd_values<T>(tall.cview(), GesvdOptions{});
+      ASSERT_EQ(res.values[i].size(), ref.size());
+      const double tol = test::tol_eps<T>(500.0) * (1.0 + ref[0]);
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        EXPECT_NEAR(res.values[i][k], ref[k], tol) << "sv " << k;
+      }
+    }
   }
 }
 

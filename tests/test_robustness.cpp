@@ -8,14 +8,17 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "band/sturm.hpp"
 #include "baseline/chan.hpp"
 #include "baseline/gebd2.hpp"
 #include "baseline/gebrd.hpp"
+#include "batched/batched.hpp"
 #include "common/hazard.hpp"
 #include "core/svd.hpp"
+#include "rsvd/rsvd.hpp"
 #include "tile/matrix_gen.hpp"
 #include "test_harness.hpp"
 
@@ -88,6 +91,53 @@ TEST(Adversarial, NonFiniteInputThrowsTypedEverywhere) {
     EXPECT_THROW(bd2val(d, e), numerical_hazard_error);
     EXPECT_THROW(sturm_singular_values(d, e), numerical_hazard_error);
   }
+}
+
+// Every dense driver rejects NaN through the one hazard guard, and the
+// message names the driver the caller called.
+TEST(Adversarial, NonFiniteErrorNamesItsDriver) {
+  Matrix A = test::random_matrix(24, 16, 78);
+  A(13, 5) = kNan;
+  const auto message_of = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const numerical_hazard_error& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  const auto names = [](const std::string& driver) {
+    return driver + ": non-finite entry in input";
+  };
+  EXPECT_EQ(message_of([&] { (void)gesvd_values(A.cview(), small_opts()); }),
+            names("gesvd_values"));
+  EXPECT_EQ(message_of([&] { (void)gesvd_truncated(A.cview(), 4); }),
+            names("gesvd_truncated"));
+  EXPECT_EQ(message_of([&] { (void)gebrd_singular_values(A.cview()); }),
+            names("gebrd_singular_values"));
+  EXPECT_EQ(message_of([&] { (void)gebd2_singular_values(A.cview()); }),
+            names("gebd2_singular_values"));
+  EXPECT_EQ(message_of([&] { (void)chan_singular_values(A.cview()); }),
+            names("chan_singular_values"));
+  EXPECT_EQ(message_of([&] { (void)tsqr(A.cview(), {}); }), names("tsqr"));
+
+  // The batched drivers report per problem instead of throwing.
+  // Explicit cutoffs keep each member on its branch under a calibration.
+  batched::BatchOptions direct, rfirst;
+  direct.direct_max_cols = 48;
+  rfirst.direct_max_cols = 8;
+  Matrix tall = test::random_matrix(40, 16, 79);  // m > 2n: R-first
+  tall(3, 3) = kNan;
+  EXPECT_EQ(batched::svd<double>({A.cview()}, direct).reports[0].message,
+            names("batched::svd"));
+  EXPECT_EQ(batched::svd<double>({tall.cview()}, rfirst).reports[0].message,
+            names("batched::svd"));
+  Matrix Q = A, Tm(16, 16);
+  std::vector<batched::QrProblem<double>> qr = {{Q.view(), Tm.view()}};
+  EXPECT_EQ(batched::qr<double>(qr)[0].message, names("batched::qr"));
+  Matrix G = A, B(24, 1);
+  std::vector<batched::GelsProblem<double>> ls = {{G.view(), B.view()}};
+  EXPECT_EQ(batched::gels<double>(ls)[0].message, names("batched::gels"));
 }
 
 TEST(Adversarial, TiledDriverRejectsPoisonedTile) {
