@@ -3,10 +3,12 @@
 // against the serial baseline a naive server would run — one
 // gesvd_values call per problem with default (large-matrix) options. The
 // batched path wins by amortizing workspace and dispatch across the batch
-// and by right-sizing the tile grid to the problem (the default nb = 64
-// pads a 32-column problem to a full 64x64 tile); the acceptance target
-// for this series is >= 3x the serial loop at batch >= 256 on the
-// 4-thread row, both dtypes. Emits BENCH_batched.json (picked up by
+// and by skipping the tile grid altogether (every member runs preQR +
+// GEBRD + BD2VAL; the default nb = 64 pads a 32-column problem to a full
+// 64x64 tile); the acceptance target for the 32x16 series is >= 3x the
+// serial loop at batch >= 256 on the 4-thread row, both dtypes. A second
+// series runs 128x96 members, the large member of perfbench's
+// batched_mixed workload. Emits BENCH_batched.json (picked up by
 // bench/history/record.sh).
 #include <cstdio>
 #include <string>
@@ -30,6 +32,8 @@ using bench::Record;
 // default nb = 64 stops being pure padding overhead).
 constexpr int kRowsFull = 32, kColsFull = 16;
 constexpr int kRowsSmoke = 24, kColsSmoke = 16;
+// The large serving member, 128x96, in both modes.
+constexpr int kRowsLarge = 128, kColsLarge = 96;
 
 template <class T>
 std::vector<MatrixT<T>> gen_problems(int batch, int m, int n) {
@@ -44,14 +48,15 @@ std::vector<MatrixT<T>> gen_problems(int batch, int m, int n) {
   return out;
 }
 
+/// One svd series of m x n members, recorded as `prefix` + "_serial" +
+/// dtype suffix for the loop and `prefix` + dtype suffix + "_t<threads>"
+/// for the batched rows.
 template <class T>
-void run_svd_series(bool smoke, std::vector<Record>& recs) {
+void run_svd_series(bool smoke, int m, int n, const std::string& prefix,
+                    const std::vector<int>& batches,
+                    std::vector<Record>& recs) {
   const DType dt = std::is_same_v<T, float> ? DType::F32 : DType::F64;
   const std::string suffix = bench::dtype_suffix(dt);
-  const int m = smoke ? kRowsSmoke : kRowsFull;
-  const int n = smoke ? kColsSmoke : kColsFull;
-  const std::vector<int> batches = smoke ? std::vector<int>{32}
-                                         : std::vector<int>{64, 256, 1024};
   const std::vector<int> threads = smoke ? std::vector<int>{1, 2}
                                          : std::vector<int>{1, 2, 4};
   const int reps = smoke ? 1 : 3;
@@ -78,7 +83,7 @@ void run_svd_series(bool smoke, std::vector<Record>& recs) {
     });
     {
       Record r;
-      r.name = "batched_svd_serial" + suffix;
+      r.name = prefix + "_serial" + suffix;
       r.nb = GesvdOptions{}.nb;
       r.ib = GesvdOptions{}.ge2bnd.ib;
       r.m = m;
@@ -101,9 +106,9 @@ void run_svd_series(bool smoke, std::vector<Record>& recs) {
         bench::benchmark_keep(res.values);
       });
       Record r;
-      r.name = "batched_svd" + suffix + "_t" + std::to_string(nt);
-      r.nb = opts.svd_nb;
-      r.ib = 8;
+      r.name = prefix + suffix + "_t" + std::to_string(nt);
+      r.nb = 0;  // no tile grid: every member runs preQR + GEBRD + BD2VAL
+      r.ib = 0;
       r.m = m;
       r.n = n;
       r.seconds = t_batch;
@@ -117,6 +122,19 @@ void run_svd_series(bool smoke, std::vector<Record>& recs) {
                   batch / t_batch, t_serial / t_batch);
     }
   }
+}
+
+/// The 32x16 serving shape (24x16 under --smoke), then the 128x96 member.
+template <class T>
+void run_svd_benches(bool smoke, std::vector<Record>& recs) {
+  run_svd_series<T>(smoke, smoke ? kRowsSmoke : kRowsFull,
+                    smoke ? kColsSmoke : kColsFull, "batched_svd",
+                    smoke ? std::vector<int>{32}
+                          : std::vector<int>{64, 256, 1024},
+                    recs);
+  run_svd_series<T>(smoke, kRowsLarge, kColsLarge, "batched_svd_128x96",
+                    smoke ? std::vector<int>{8} : std::vector<int>{64, 256},
+                    recs);
 }
 
 template <class T>
@@ -184,8 +202,8 @@ int main(int argc, char** argv) {
   if (!tbsvd::bench::parse_bench_args(argc, argv, smoke, out)) return 2;
 
   std::vector<tbsvd::bench::Record> recs;
-  tbsvd::run_svd_series<double>(smoke, recs);
-  tbsvd::run_svd_series<float>(smoke, recs);
+  tbsvd::run_svd_benches<double>(smoke, recs);
+  tbsvd::run_svd_benches<float>(smoke, recs);
   tbsvd::run_qr_series<double>(smoke, recs);
   tbsvd::run_qr_series<float>(smoke, recs);
 

@@ -22,23 +22,25 @@ std::vector<double> chan_singular_values(ConstMatrixViewT<T> A,
               "chan_singular_values: need switch_ratio >= 1 and qr_nb >= 1");
   const int m = A.m, n = A.n;
   if (n == 0) return {};
-  if (!chan_uses_preqr(m, n, opts)) {
-    return gebrd_singular_values<T>(A, opts.gebrd);
-  }
-  // preQR: factor A = Q R, then bidiagonalize the n x n R. The factor copy
-  // is pre-scaled into the safe range once, as dgesvd does
-  // (docs/ROBUSTNESS.md), so the reflector norms cannot overflow; R
-  // inherits that scale and GEBRD + BD2VAL run on it directly.
+  // The working copy is pre-scaled into the safe range once, as dgesvd does
+  // (docs/ROBUSTNESS.md), so the reflector norms cannot overflow. With
+  // preQR (A = Q R) GEBRD + BD2VAL run on the n x n R, which inherits that
+  // scale; without it they run on the copy itself.
   MatrixT<T> W(m, n);
   copy<T>(A, W.view());
   const ScaledSolve<T> guard("chan_singular_values", W.view());
-  std::vector<T> tau(n);
-  geqrf<T>(W.view(), tau.data(), opts.qr_nb);
-  MatrixT<T> R(n, n);
-  for (int j = 0; j < n; ++j)
-    for (int i = 0; i <= j; ++i) R(i, j) = W(i, j);
+  MatrixT<T> R;
+  MatrixViewT<T> r = W.view();
+  if (chan_uses_preqr(m, n, opts)) {
+    std::vector<T> tau(n);
+    geqrf<T>(W.view(), tau.data(), opts.qr_nb);
+    R = MatrixT<T>(n, n);
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i <= j; ++i) R(i, j) = W(i, j);
+    r = R.view();
+  }
   std::vector<T> d, e;
-  gebrd<T>(R.view(), d, e, opts.gebrd);
+  gebrd<T>(r, d, e, opts.gebrd);
   std::vector<T> svt = bd2val<T>(std::move(d), std::move(e));
   std::vector<double> sv(svt.begin(), svt.end());
   guard.unscale(sv);

@@ -15,19 +15,10 @@
 #include "lac/qr_rec.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd::batched {
 
 namespace {
-
-/// Fallback minor-extent cutoff for the direct (preQR + GEBRD + BD2VAL)
-/// per-problem SVD path — the hand-tuned value used when neither
-/// BatchOptions::direct_max_cols nor an active calibration's probed
-/// crossover overrides it. Below the cutoff, the tiled pipeline's fixed
-/// costs dominate and going direct is a ~3x win; above it the tiled
-/// two-stage reduction takes over.
-constexpr int kDirectMaxCols = 48;
 
 /// Per-worker scratch, sized once per batch for the largest problem and
 /// reused across every problem the worker serves. The carved regions cover
@@ -144,12 +135,6 @@ template <class T>
 SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
                    const BatchOptions& opts) {
   validate_opts(opts);
-  TBSVD_CHECK(opts.svd_nb >= 1, "batched::svd: svd_nb must be >= 1");
-  TBSVD_CHECK(opts.direct_max_cols >= 0,
-              "batched::svd: direct_max_cols must be >= 0 (0 = tuned)");
-  // Direct-vs-tiled crossover: explicit option > calibration probe > 48.
-  const int direct_max_cols = tune::resolved_direct_max_cols(
-      opts.direct_max_cols, static_cast<int>(sizeof(T)), kDirectMaxCols);
   const std::size_t np = problems.size();
   SvdBatchResult res;
   res.values.resize(np);
@@ -176,8 +161,7 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
   }
 
   run_batch<T>(np, opts, arenas, res.reports,
-               [&problems, &res, &opts, direct_max_cols](std::size_t i,
-                                                         WorkerArena<T>& ar) {
+               [&problems, &res](std::size_t i, WorkerArena<T>& ar) {
     if (TBSVD_FAULT_FIRE("batched.problem_poison")) {
       throw numerical_hazard_error(
           "injected fault: batched problem poisoned");
@@ -191,69 +175,30 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
       throw invalid_argument_error("batched::svd: invalid problem view");
     }
 
-    // Work in the m >= n orientation (the spectrum is transpose-invariant);
-    // wide problems stage through the arena.
+    // Work in the m >= n orientation (the spectrum is transpose-invariant):
+    // stage the member into the arena, transposing a wide one, and guard
+    // the staged copy (docs/ROBUSTNESS.md). small_svd_values then runs
+    // recursive-panel preQR (Chan's ordering) on tall members, one-stage
+    // GEBRD and BD2VAL — a batch member fits in cache, so the tile
+    // pipeline's padding, task setup and band detour only add cost.
     const int mw = std::max(p.m, p.n), nw = std::min(p.m, p.n);
-    const bool wide = p.m < p.n;
-
-    if (nw <= direct_max_cols) {
-      // Small-problem fast path: the tile pipeline's fixed costs (padding
-      // to nb multiples, per-tile task setup, the two-stage band detour)
-      // dominate at serving extents, so go direct — recursive-panel preQR
-      // (Chan's ordering) collapses tall problems to nw x nw, one-stage
-      // GEBRD bidiagonalizes, BD2VAL solves. Same hazard contract as the
-      // tiled driver, guarding the staged copy (docs/ROBUSTNESS.md).
-      MatrixViewT<T> s(ar.stage, mw, nw, mw);
-      if (wide) {
-        transpose<T>(p, s);
-      } else {
-        copy<T>(p, s);
-      }
-      const ScaledSolve<T> guard("batched::svd", s);
-      SvdInfo& info = res.infos[i];
-      Bd2valInfo bi;
-      const std::vector<T> svt =
-          small_svd_values<T>(s, ar.tfac, ar.rbuf, {}, &bi);
-      info.status = bi.status;
-      info.qr_iterations = bi.qr_iterations;
-      info.bisection_fallback = bi.bisection_fallback;
-      res.values[i].assign(svt.begin(), svt.end());
-      guard.unscale(res.values[i], &info);
-      res.reports[i].status = info.status;
-      return;
-    }
-
-    ConstMatrixViewT<T> w = p;
-    if (wide) {
-      MatrixViewT<T> s(ar.stage, mw, nw, mw);
+    MatrixViewT<T> s(ar.stage, mw, nw, mw);
+    if (p.m < p.n) {
       transpose<T>(p, s);
-      w = s;
-    }
-
-    // Larger batch members run the tiled driver with a right-sized tile
-    // grid: the large-matrix default (nb = 64) would pad the columns up to
-    // the next tile multiple and bulge-chase a wider band than needed.
-    GesvdOptions go;
-    go.nb = std::min(opts.svd_nb, nw);
-    go.ge2bnd.ib = std::min(8, go.nb);
-    go.ge2bnd.serial = true;  // per-problem graphs run on the batch worker
-
-    // R-first pre-reduction for tall problems (the paper's R-bidiag
-    // ordering): one recursive QR panel collapses mw x nw to nw x nw
-    // before the bidiagonalization pipeline runs. The staged copy is
-    // guarded before the QR does arithmetic on it; the tiled driver then
-    // guards R on its own, and the member reports the input-level scaling.
-    if (mw > 2 * nw) {
-      MatrixViewT<T> s(ar.stage, mw, nw, mw);
-      if (!wide) copy<T>(w, s);
-      const ScaledSolve<T> guard("batched::svd", s);
-      res.values[i] = gesvd_values<T>(reduce_to_r<T>(s, ar.tfac, ar.rbuf),
-                                      go, nullptr, &res.infos[i]);
-      guard.unscale(res.values[i], &res.infos[i]);
     } else {
-      res.values[i] = gesvd_values<T>(w, go, nullptr, &res.infos[i]);
+      copy<T>(p, s);
     }
-    res.reports[i].status = res.infos[i].status;
+    const ScaledSolve<T> guard("batched::svd", s);
+    SvdInfo& info = res.infos[i];
+    Bd2valInfo bi;
+    const std::vector<T> svt =
+        small_svd_values<T>(s, ar.tfac, ar.rbuf, {}, &bi);
+    info.status = bi.status;
+    info.qr_iterations = bi.qr_iterations;
+    info.bisection_fallback = bi.bisection_fallback;
+    res.values[i].assign(svt.begin(), svt.end());
+    guard.unscale(res.values[i], &info);
+    res.reports[i].status = info.status;
   });
   return res;
 }

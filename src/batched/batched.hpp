@@ -5,14 +5,16 @@
 // This is the "millions of users" workload shape from ROADMAP.md (cf. the
 // GMLS/compadre exemplar batching thousands of small QR solves over a team
 // pool): the per-problem kernels are the existing recursive panel
-// factorization (lac/qr_rec), the one-stage GEBRD + BD2VAL drivers for
-// small SVDs (preQR through the recursive panel, Chan's ordering), and the
-// tiled gesvd_values driver for larger batch members. The batch layer
-// amortizes what a one-at-a-time loop pays per problem — workspace
-// allocation (one arena per worker, sized once for the batch's max
-// extents), right-sizing (a small problem skips the tile pipeline's
-// padding and task setup entirely), and scheduler dispatch (one TaskGraph
-// run per batch, problems chunked across the Scheduler's workers).
+// factorization (lac/qr_rec) and, for every SVD member whatever its shape,
+// the one-stage direct path of small_svd.hpp (preQR through the recursive
+// panel in Chan's ordering, GEBRD, BD2VAL). A batch member fits in cache,
+// so the tiled two-stage pipeline, which pays off where one-stage GEBRD is
+// memory-bound, only adds padding and task setup here (docs/PERF.md has
+// the measured direct-vs-tiled table). The batch layer amortizes what a
+// one-at-a-time loop pays per problem — workspace allocation (one arena
+// per worker, sized once for the batch's max extents) and scheduler
+// dispatch (one TaskGraph run per batch, problems chunked across the
+// Scheduler's workers).
 //
 // Fault contract (docs/ROBUSTNESS.md): failures are isolated per problem.
 // A NaN input, a rank-deficient system, or an invalid view in problem i
@@ -40,16 +42,6 @@ struct BatchOptions {
   /// Problems per task; 0 picks a granularity that gives every worker
   /// several chunks to steal while keeping dispatch overhead amortized.
   int chunk = 0;
-  /// SVD tile-size cap: each problem runs at nb = min(svd_nb, its minor
-  /// extent), keeping the band narrow in the small-tile regime instead of
-  /// padding up to the large-matrix default.
-  int svd_nb = 16;
-  /// Minor-extent cutoff below which a batch member takes the direct
-  /// (preQR + GEBRD + BD2VAL) SVD path instead of the tiled pipeline.
-  /// 0 resolves to the active calibration's probed crossover
-  /// (tune::resolved_direct_max_cols) and to the hand-tuned 48 when no
-  /// calibration is loaded; > 0 is an explicit override.
-  int direct_max_cols = 0;
 };
 
 /// Typed per-problem outcome. ok() mirrors SvdInfo::ok(): a Degraded solve

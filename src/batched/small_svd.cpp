@@ -9,18 +9,6 @@
 namespace tbsvd::batched {
 
 template <class T>
-MatrixViewT<T> reduce_to_r(MatrixViewT<T> s, T* tfac, T* rbuf) {
-  const int n = s.n;
-  geqrf_rec<T>(s, MatrixViewT<T>(tfac, n, n, n));
-  std::fill(rbuf, rbuf + static_cast<std::size_t>(n) * n, T(0));
-  MatrixViewT<T> r(rbuf, n, n, n);
-  for (int j = 0; j < n; ++j) {
-    for (int i = 0; i <= j; ++i) r(i, j) = s(i, j);
-  }
-  return r;
-}
-
-template <class T>
 std::vector<T> small_svd_values(MatrixViewT<T> s, T* tfac, T* rbuf,
                                 const Bd2valOptions& opts, Bd2valInfo* info) {
   const int mw = s.m, nw = s.n;
@@ -28,16 +16,23 @@ std::vector<T> small_svd_values(MatrixViewT<T> s, T* tfac, T* rbuf,
   TBSVD_CHECK(s.a != nullptr && s.ld >= mw && tfac != nullptr &&
                   rbuf != nullptr,
               "small_svd_values: invalid view or scratch");
-  // Chan/Elemental switch ratio m >= 1.2 n.
-  const MatrixViewT<T> r =
-      5 * mw >= 6 * nw ? reduce_to_r<T>(s, tfac, rbuf) : s;
+  // Chan/Elemental switch ratio m >= 1.2 n: one recursive QR panel factors
+  // s in place and GEBRD runs on the n x n upper triangle R, staged in rbuf.
+  MatrixViewT<T> r = s;
+  if (5 * mw >= 6 * nw) {
+    geqrf_rec<T>(s, MatrixViewT<T>(tfac, nw, nw, nw));
+    std::fill(rbuf, rbuf + static_cast<std::size_t>(nw) * nw, T(0));
+    r = MatrixViewT<T>(rbuf, nw, nw, nw);
+    for (int j = 0; j < nw; ++j) {
+      for (int i = 0; i <= j; ++i) r(i, j) = s(i, j);
+    }
+  }
   std::vector<T> d, e;
   gebrd<T>(r, d, e);
   return bd2val<T>(std::move(d), std::move(e), opts, info);
 }
 
 #define TBSVD_INSTANTIATE_SMALL_SVD(T)                                    \
-  template MatrixViewT<T> reduce_to_r<T>(MatrixViewT<T>, T*, T*);         \
   template std::vector<T> small_svd_values<T>(                            \
       MatrixViewT<T>, T*, T*, const Bd2valOptions&, Bd2valInfo*);
 

@@ -128,36 +128,6 @@ std::vector<TileOp> build_hqr_ops(int p, int q, const AlgConfig& cfg) {
   return ops;
 }
 
-std::vector<TileOp> build_hlq_ops(int p, int q, const AlgConfig& cfg) {
-  TBSVD_CHECK(p >= 1 && q >= 1, "build_hlq_ops: empty grid");
-  std::vector<TileOp> ops;
-  const int steps = std::min(p, q);
-  for (int k = 0; k < steps; ++k) {
-    // LQ factorization step k eliminates columns k+1.. against column k.
-    const int u = q - k;
-    if (u < 1) break;
-    const int prio = 2 * (steps - k);
-    StepPlan plan =
-        plan_for_step(cfg.lq_tree, cfg, u, k, lq_grid_dim(cfg), p - k - 1);
-    // Re-map: build_hlq uses pivot column k (not k+1), so emit manually.
-    for (int loc : plan.prep) {
-      const int j = k + loc;
-      ops.push_back({Op::GELQT, k, -1, j, -1, prio + 1});
-      for (int i = k + 1; i < p; ++i)
-        ops.push_back({Op::UNMLQ, k, -1, j, i, prio});
-    }
-    for (const Elim& e : plan.elims) {
-      const int pj = k + e.piv;
-      const int j = k + e.row;
-      const Op panel = (e.kind == ElimKind::TS) ? Op::TSLQT : Op::TTLQT;
-      const Op upd = (e.kind == ElimKind::TS) ? Op::TSMLQ : Op::TTMLQ;
-      ops.push_back({panel, k, pj, j, -1, prio + 1});
-      for (int i = k + 1; i < p; ++i) ops.push_back({upd, k, pj, j, i, prio});
-    }
-  }
-  return ops;
-}
-
 std::vector<TileOp> build_bidiag_ops(int p, int q, const AlgConfig& cfg) {
   TBSVD_CHECK(p >= q && q >= 1, "BIDIAG requires p >= q >= 1");
   std::vector<TileOp> ops;

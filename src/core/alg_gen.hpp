@@ -40,10 +40,6 @@ struct AlgConfig {
 [[nodiscard]] std::vector<TileOp> build_hqr_ops(int p, int q,
                                                 const AlgConfig& cfg);
 
-/// Tiled LQ factorization of a p x q grid (used in tests).
-[[nodiscard]] std::vector<TileOp> build_hlq_ops(int p, int q,
-                                                const AlgConfig& cfg);
-
 /// BIDIAG on a p x q grid, p >= q: full -> band bidiagonal.
 [[nodiscard]] std::vector<TileOp> build_bidiag_ops(int p, int q,
                                                    const AlgConfig& cfg);

@@ -151,7 +151,7 @@ ExecResult execute_tile_ops(TileMatrixT<T>& A, const std::vector<TileOp>& ops,
   }
 
   WallTimer timer;
-  if (opt.serial || opt.nthreads == 1) {
+  if (opt.nthreads == 1) {
     graph.run_serial();
   } else {
     graph.run(opt.nthreads);
@@ -199,7 +199,6 @@ ExecResult ge2bnd(TileMatrixT<T>& A, const Ge2bndOptions& opt) {
       tune::resolved_ib(opt.ib, static_cast<int>(sizeof(T)), /*fallback=*/32);
   eo.ib = std::min(ib, A.nb());  // nb caps the useful inner blocking
   eo.nthreads = opt.nthreads;
-  eo.serial = opt.serial;
   return execute_tile_ops<T>(A, ops, eo);
 }
 

@@ -16,8 +16,7 @@ namespace tbsvd {
 
 struct ExecOptions {
   int ib = 32;         ///< inner blocking of the tile kernels
-  int nthreads = 1;    ///< worker threads (>= 1)
-  bool serial = false; ///< run in submission order (debugging / reference)
+  int nthreads = 1;    ///< worker threads (>= 1); 1 runs in submission order
 };
 
 struct ExecResult {
@@ -69,7 +68,6 @@ struct Ge2bndOptions {
   int ib = 0;
   int nthreads = 1;
   double gamma = 2.0;  ///< Auto-tree target multiplier of host_cores()
-  bool serial = false;
 };
 
 /// The op-stream configuration ge2bnd and bidiag_factored build from opt:

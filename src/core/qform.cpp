@@ -25,7 +25,6 @@ Ge2bndFactorsT<T> bidiag_factored(TileMatrixT<T> A, const Ge2bndOptions& opt) {
   ExecOptions eo;
   eo.ib = f.ib;
   eo.nthreads = opt.nthreads;
-  eo.serial = opt.serial;
   execute_tile_ops<T>(f.A, f.ops, eo, f.t);
   return f;
 }

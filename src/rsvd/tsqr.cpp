@@ -127,7 +127,6 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts) {
   ExecOptions eo;
   eo.ib = f.ib;
   eo.nthreads = opts.nthreads;
-  eo.serial = opts.serial;
   const ExecResult r = execute_tile_ops<T>(f.A, f.ops, eo, f.t);
   f.ntasks = r.ntasks;
   return f;

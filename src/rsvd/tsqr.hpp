@@ -50,7 +50,6 @@ struct TsqrOptions {
   /// Auto-tree target multiplier of host_cores() (trees/tree.hpp), not of
   /// nthreads, so R and Q are bitwise identical at any thread count.
   double gamma = 2.0;
-  bool serial = false; ///< run ops in submission order (debug/reference)
 };
 
 /// A factored TSQR: the tiled matrix (R + Householder tiles, padded to

@@ -14,7 +14,6 @@
 #include <sys/types.h>
 #include <utility>
 
-#include "baseline/gebrd.hpp"
 #include "common/check.hpp"
 #include "common/fault.hpp"
 #include "common/flops.hpp"
@@ -264,39 +263,10 @@ double time_best_of(int reps, const std::function<void()>& fn) {
   return best;
 }
 
-/// Largest n (within the probed sweep) where the one-stage direct SVD path
-/// still beats the right-sized tiled pipeline — the measured version of the
-/// batched layer's hand-tuned kDirectMaxCols = 48.
-template <class T>
-int probe_direct_cutoff(int reps) {
-  int cutoff = 16;
-  for (const int n : {24, 32, 48, 64, 96, 128}) {
-    const int m = 2 * n;
-    MatrixT<T> A = tune_input<T>(m, n, 1700 + n);
-    GebrdOptions direct;
-    direct.nb = std::min(32, n);
-    const double t_direct = time_best_of<T>(reps, [&] {
-      auto sv = gebrd_singular_values<T>(A.cview(), direct);
-      (void)sv;
-    });
-    GesvdOptions tiled;
-    tiled.nb = std::min(16, n);
-    tiled.ge2bnd.ib = std::min(8, tiled.nb);
-    tiled.ge2bnd.serial = true;
-    const double t_tiled = time_best_of<T>(reps, [&] {
-      auto sv = gesvd_values<T>(A.cview(), tiled);
-      (void)sv;
-    });
-    if (t_direct >= t_tiled) break;
-    cutoff = n;
-  }
-  return std::clamp(cutoff, 16, 128);
-}
-
 template <class T>
 PrecisionCalib tune_precision(const std::vector<int>& nbs,
                               const std::vector<int>& ibs, int reps,
-                              int target, bool probe_direct) {
+                              int target) {
   PrecisionCalib pc;
   pc.dtype = sizeof(T) == sizeof(float) ? "f32" : "f64";
 
@@ -326,7 +296,6 @@ PrecisionCalib tune_precision(const std::vector<int>& nbs,
   pc.e2e_gflops = work / best_secs / 1e9;
   pc.kernel_seconds = calibrate_kernels<T>(pc.nb, pc.ib, reps);
   pc.gemm_gflops = calibrate_gemm_gflops<T>(pc.nb, reps);
-  pc.direct_max_cols = probe_direct ? probe_direct_cutoff<T>(reps) : 48;
   return pc;
 }
 
@@ -364,9 +333,8 @@ std::string serialize_calibration(const Calibration& c) {
   out += "  \"precisions\": [\n";
   for (std::size_t i = 0; i < c.precisions.size(); ++i) {
     const PrecisionCalib& p = c.precisions[i];
-    add("    {\"dtype\": \"%s\", \"nb\": %d, \"ib\": %d, "
-        "\"direct_max_cols\": %d,\n",
-        p.dtype.c_str(), p.nb, p.ib, p.direct_max_cols);
+    add("    {\"dtype\": \"%s\", \"nb\": %d, \"ib\": %d,\n",
+        p.dtype.c_str(), p.nb, p.ib);
     add("     \"gemm_gflops\": %.3f, \"e2e_gflops\": %.3f,\n", p.gemm_gflops,
         p.e2e_gflops);
     out += "     \"kernel_seconds\": {";
@@ -417,8 +385,6 @@ Calibration parse_calibration(const std::string& text, TuneLoadInfo* info) {
     p.nb = require_int(pv, "nb", "precision entry", 1);
     p.ib = require_int(pv, "ib", "precision entry", 1);
     if (p.ib > p.nb) parse_fail("precision entry: ib exceeds nb");
-    p.direct_max_cols =
-        require_int(pv, "direct_max_cols", "precision entry", 0);
     p.gemm_gflops =
         require(pv, "gemm_gflops", JVal::K::Num, "precision entry").num;
     p.e2e_gflops =
@@ -515,7 +481,6 @@ Calibration autotune(const TuneOptions& opts) {
     if (o.ibs.empty()) o.ibs = {8, 16};
     o.reps = 1;
     o.e2e_target = std::min(o.e2e_target, 128);
-    o.probe_direct_cutoff = false;
   }
   if (o.nbs.empty()) o.nbs = {64, 96, 128, 160, 192};
   if (o.ibs.empty()) o.ibs = {16, 32};
@@ -528,12 +493,12 @@ Calibration autotune(const TuneOptions& opts) {
   Calibration c;
   c.host = host_fingerprint();
   if (o.tune_f64) {
-    c.precisions.push_back(tune_precision<double>(
-        o.nbs, o.ibs, o.reps, o.e2e_target, o.probe_direct_cutoff));
+    c.precisions.push_back(
+        tune_precision<double>(o.nbs, o.ibs, o.reps, o.e2e_target));
   }
   if (o.tune_f32) {
-    c.precisions.push_back(tune_precision<float>(
-        o.nbs, o.ibs, o.reps, o.e2e_target, o.probe_direct_cutoff));
+    c.precisions.push_back(
+        tune_precision<float>(o.nbs, o.ibs, o.reps, o.e2e_target));
   }
   return c;
 }
@@ -588,13 +553,8 @@ int resolved_ib(int requested, int scalar_bytes, int fallback) noexcept {
   return (t != nullptr && t->ib >= 1) ? t->ib : fallback;
 }
 
-int resolved_direct_max_cols(int requested, int scalar_bytes,
-                             int fallback) noexcept {
-  if (requested > 0) return requested;
-  std::lock_guard<std::mutex> lk(g_active_mtx);
-  const PrecisionCalib* t = active_table_locked(scalar_bytes);
-  return (t != nullptr && t->direct_max_cols >= 1) ? t->direct_max_cols
-                                                   : fallback;
+int resolved_direct_max_cols(int requested, int, int fallback) noexcept {
+  return requested > 0 ? requested : fallback;
 }
 
 int resolved_oversample(int requested, int fallback) noexcept {

@@ -19,8 +19,7 @@
 //     GesvdOptions::nb == 0 / Ge2bndOptions::ib == 0 resolve to the tuned
 //     values, execute_tile_ops seeds the Scheduler's priorities from
 //     weighted critical paths (cp_priorities under the measured OpCost),
-//     DistSimParams::nb == 0 takes the tuned tile size, and the batched
-//     serving path derives its direct-SVD cutoff from the same table.
+//     and DistSimParams::nb == 0 takes the tuned tile size.
 //   - Benches accept `--tune-file PATH` so recorded runs share one
 //     persisted cost model instead of re-calibrating per invocation.
 //
@@ -53,7 +52,6 @@ struct PrecisionCalib {
   std::string dtype;          ///< "f32" or "f64"
   int nb = 0;                 ///< best tile size found on the grid
   int ib = 0;                 ///< best inner blocking found on the grid
-  int direct_max_cols = 0;    ///< batched direct-SVD cutoff (0 = unprobed)
   double gemm_gflops = 0.0;   ///< nb x nb x nb GEMM rate of the backend
   double e2e_gflops = 0.0;    ///< GE2VAL rate at (nb, ib) on the tuning shape
   std::map<Op, double> kernel_seconds;  ///< all 13 Ops, seconds per call
@@ -126,10 +124,7 @@ struct TuneOptions {
   int e2e_target = 512;
   bool tune_f32 = true;
   bool tune_f64 = true;
-  /// Probe the batched direct-vs-tiled SVD crossover (n sweep); when off,
-  /// direct_max_cols keeps the hand-tuned 48.
-  bool probe_direct_cutoff = true;
-  /// Smoke mode: tiny grid / single rep / no cutoff probe — the CI shape.
+  /// Smoke mode: tiny grid / single rep — the CI shape.
   bool smoke = false;
 };
 
@@ -172,6 +167,10 @@ void reset_active() noexcept;
                               int fallback) noexcept;
 [[nodiscard]] int resolved_ib(int requested, int scalar_bytes,
                               int fallback) noexcept;
+/// requested > 0 ? requested : fallback. The calibration no longer carries
+/// a batched direct-SVD cutoff (batched::svd has a single per-member path);
+/// this stays only because perfbench/perfbench.cpp reports the value in
+/// its pinned-tuning block, and goes with the next benchmark change.
 [[nodiscard]] int resolved_direct_max_cols(int requested, int scalar_bytes,
                                            int fallback) noexcept;
 

@@ -161,11 +161,11 @@ TYPED_TEST(BatchedT, InvalidViewIsIsolatedInvalidArgument) {
   }
 }
 
-// Extreme-norm members on every svd branch: direct (200x30), tiled (90x49)
-// and tiled R-first, tall (200x49) and wide (49x200). Each member must be
-// guarded before any arithmetic touches it: it reports the input-level
-// scaling and matches the single-problem driver on the same input. An
-// unguarded R-first QR overflows on the float 5e37 inputs.
+// Extreme-norm members on both sides of 48 columns, tall and wide (200x30,
+// 90x49, 200x49, 49x200). Each member must be guarded before its preQR
+// touches it: it reports the input-level scaling and matches the
+// single-problem driver on the same input. An unguarded preQR overflows on
+// the float 5e37 inputs.
 TYPED_TEST(BatchedT, ExtremeNormMembersScaleOnEveryBranch) {
   using T = TypeParam;
   const std::vector<double> scales = std::is_same_v<T, float>
@@ -186,7 +186,6 @@ TYPED_TEST(BatchedT, ExtremeNormMembersScaleOnEveryBranch) {
     for (const auto& a : mats) views.push_back(a.cview());
     batched::BatchOptions opts;
     opts.nthreads = 2;
-    opts.direct_max_cols = 48;  // keeps each shape on its branch
     const batched::SvdBatchResult res = batched::svd<T>(views, opts);
     for (std::size_t i = 0; i < mats.size(); ++i) {
       const MatrixT<T>& A = mats[i];

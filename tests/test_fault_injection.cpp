@@ -163,7 +163,6 @@ Outcome classify_tune() {
   p.dtype = "f64";
   p.nb = 64;
   p.ib = 16;
-  p.direct_max_cols = 48;
   for (int op = 0; op <= static_cast<int>(Op::LASET); ++op) {
     p.kernel_seconds[static_cast<Op>(op)] = 1e-4;
   }

@@ -125,29 +125,30 @@ TEST(Tsqr, ThreadedMatchesSerialBitwise) {
   const Matrix A = random_matrix(256, 64, 77);
   for (const TreeKind tree : {TreeKind::Greedy, TreeKind::Auto}) {
     SCOPED_TRACE(tree_name(tree));
-    TsqrOptions serial;
-    serial.tree = tree;
-    serial.nb = 32;
-    serial.serial = true;
-    TsqrOptions threaded = serial;
-    threaded.serial = false;
-    threaded.nthreads = 4;
-    const TsqrFactors fs = tsqr<double>(A.cview(), serial);
-    const TsqrFactors ft = tsqr<double>(A.cview(), threaded);
-    const Matrix Rs = fs.r();
-    const Matrix Rt = ft.r();
-    int r_diff = 0;
-    for (int j = 0; j < 64; ++j) {
-      for (int i = 0; i <= j; ++i) r_diff += Rs(i, j) != Rt(i, j);
+    TsqrOptions opts;
+    opts.tree = tree;
+    opts.nb = 32;
+    const TsqrFactors f1 = tsqr<double>(A.cview(), opts);
+    const Matrix R1 = f1.r();
+    const Matrix Q1 = tsqr_form_q<double>(f1);
+    for (const int nthreads : {2, 4}) {
+      opts.nthreads = nthreads;
+      const TsqrFactors ft = tsqr<double>(A.cview(), opts);
+      const Matrix Rt = ft.r();
+      int r_diff = 0;
+      for (int j = 0; j < 64; ++j) {
+        for (int i = 0; i <= j; ++i) r_diff += R1(i, j) != Rt(i, j);
+      }
+      EXPECT_EQ(r_diff, 0) << "R entries differ between 1 and " << nthreads
+                           << " threads";
+      const Matrix Qt = tsqr_form_q<double>(ft, nthreads);
+      int q_diff = 0;
+      for (int j = 0; j < 64; ++j) {
+        for (int i = 0; i < 256; ++i) q_diff += Q1(i, j) != Qt(i, j);
+      }
+      EXPECT_EQ(q_diff, 0) << "Q entries differ between 1 and " << nthreads
+                           << " threads";
     }
-    EXPECT_EQ(r_diff, 0) << "R entries differ between serial and 4 threads";
-    const Matrix Qs = tsqr_form_q<double>(fs);
-    const Matrix Qt = tsqr_form_q<double>(ft, /*nthreads=*/4);
-    int q_diff = 0;
-    for (int j = 0; j < 64; ++j) {
-      for (int i = 0; i < 256; ++i) q_diff += Qs(i, j) != Qt(i, j);
-    }
-    EXPECT_EQ(q_diff, 0) << "Q entries differ between serial and 4 threads";
   }
 }
 

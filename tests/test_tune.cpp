@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "batched/batched.hpp"
 #include "common/error.hpp"
 #include "core/alg_gen.hpp"
 #include "core/svd.hpp"
@@ -39,7 +38,6 @@ tune::Calibration sample_calibration() {
     p.dtype = dt;
     p.nb = dt[1] == '6' ? 96 : 128;
     p.ib = 24;
-    p.direct_max_cols = 64;
     p.gemm_gflops = 10.0;
     p.e2e_gflops = 2.5;
     for (int op = 0; op <= static_cast<int>(Op::LASET); ++op) {
@@ -112,7 +110,6 @@ TEST_F(TuneEnv, RoundTripPreservesEveryField) {
     EXPECT_EQ(b.dtype, a.dtype);
     EXPECT_EQ(b.nb, a.nb);
     EXPECT_EQ(b.ib, a.ib);
-    EXPECT_EQ(b.direct_max_cols, a.direct_max_cols);
     EXPECT_NEAR(b.gemm_gflops, a.gemm_gflops, 1e-3);
     ASSERT_EQ(b.kernel_seconds.size(), a.kernel_seconds.size());
     for (const auto& [op, secs] : a.kernel_seconds) {
@@ -172,6 +169,33 @@ TEST_F(TuneEnv, IncompleteKernelTableThrowsTyped) {
                invalid_argument_error);
 }
 
+// Version-1 files written while the schema still carried the batched
+// direct-SVD cutoff keep loading: the parser ignores the retired key.
+TEST_F(TuneEnv, VersionOneFileWithRetiredCutoffKeyLoads) {
+  std::string text = "{\n  \"tbsvd_tune_version\": 1,\n  \"host\": \"" +
+                     tune::host_fingerprint() +
+                     "\",\n  \"precisions\": [\n"
+                     "    {\"dtype\": \"f64\", \"nb\": 96, \"ib\": 24, "
+                     "\"direct_max_cols\": 64,\n"
+                     "     \"gemm_gflops\": 10.000, \"e2e_gflops\": 2.500,\n"
+                     "     \"kernel_seconds\": {";
+  for (int op = 0; op <= static_cast<int>(Op::LASET); ++op) {
+    text += std::string(op == 0 ? "" : ", ") + "\"" +
+            op_name(static_cast<Op>(op)) + "\": 1.0e-05";
+  }
+  text += "}}\n  ]\n}\n";
+  tune::TuneLoadInfo info;
+  const tune::Calibration c = tune::parse_calibration(text, &info);
+  EXPECT_EQ(info.status, Status::Ok);
+  EXPECT_EQ(c.version, 1);
+  ASSERT_EQ(c.precisions.size(), 1u);
+  EXPECT_EQ(c.precisions[0].dtype, "f64");
+  EXPECT_EQ(c.precisions[0].nb, 96);
+  EXPECT_EQ(c.precisions[0].ib, 24);
+  EXPECT_EQ(c.precisions[0].kernel_seconds.size(),
+            static_cast<std::size_t>(Op::LASET) + 1);
+}
+
 TEST_F(TuneEnv, HostMismatchIsFlaggedWithInfoAndThrowsWithout) {
   tune::Calibration c = sample_calibration();
   c.host = "some-other-machine";
@@ -205,11 +229,10 @@ TEST_F(TuneEnv, ResolutionFallsBackToHistoricalConstantsWithoutCalibration) {
 TEST_F(TuneEnv, ActiveCalibrationDrivesResolutionAndExplicitWins) {
   tune::set_active(sample_calibration());
   ASSERT_NE(tune::active(), nullptr);
-  // f64 table: nb=96, ib=24, cutoff=64; f32 table: nb=128.
+  // f64 table: nb=96, ib=24; f32 table: nb=128.
   EXPECT_EQ(tune::resolved_nb(0, sizeof(double), 64), 96);
   EXPECT_EQ(tune::resolved_nb(0, sizeof(float), 64), 128);
   EXPECT_EQ(tune::resolved_ib(0, sizeof(double), 32), 24);
-  EXPECT_EQ(tune::resolved_direct_max_cols(0, sizeof(double), 48), 64);
   // Explicit (> 0) requests are never overridden by the calibration.
   EXPECT_EQ(tune::resolved_nb(160, sizeof(double), 64), 160);
   EXPECT_EQ(tune::resolved_ib(8, sizeof(double), 32), 8);
@@ -330,14 +353,12 @@ TEST_F(TuneEnv, AutotuneSmokeProducesACompleteCalibration) {
   o.ibs = {4};
   o.reps = 1;
   o.e2e_target = 32;
-  o.probe_direct_cutoff = false;
   const tune::Calibration c = tune::autotune(o);
   EXPECT_EQ(c.host, tune::host_fingerprint());
   ASSERT_EQ(c.precisions.size(), 2u);
   for (const tune::PrecisionCalib& p : c.precisions) {
     EXPECT_TRUE(p.nb == 8 || p.nb == 16) << p.dtype;
     EXPECT_EQ(p.ib, 4);
-    EXPECT_EQ(p.direct_max_cols, 48);  // probe off keeps the hand-tuned 48
     EXPECT_GT(p.gemm_gflops, 0.0);
     EXPECT_GT(p.e2e_gflops, 0.0);
     EXPECT_EQ(p.kernel_seconds.size(),
@@ -350,21 +371,6 @@ TEST_F(TuneEnv, AutotuneSmokeProducesACompleteCalibration) {
   const std::string path = temp_path("tune_smoke.json");
   tune::save_calibration(path, c);
   EXPECT_EQ(tune::load_calibration(path).precisions.size(), 2u);
-}
-
-TEST_F(TuneEnv, BatchedCutoffFollowsCalibration) {
-  // direct_max_cols = 64 from the calibration: a 56-column problem takes
-  // the direct path, which must still produce the right spectrum.
-  tune::set_active(sample_calibration());
-  const Matrix A = test::random_matrix(72, 56, 21);
-  const auto ref = gesvd_values(A.cview(), GesvdOptions{});
-  const std::vector<ConstMatrixView> probs = {A.cview()};
-  const batched::SvdBatchResult res = batched::svd<double>(probs);
-  ASSERT_TRUE(res.all_ok());
-  ASSERT_EQ(res.values[0].size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(res.values[0][i], ref[i], 1e-8 * (1.0 + ref[0]));
-  }
 }
 
 }  // namespace

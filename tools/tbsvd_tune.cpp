@@ -1,16 +1,15 @@
 // First-run autotuner CLI: measures the six tile-kernel families plus GEMM
 // across an nb x ib x dtype grid on this machine, picks the best (nb, ib)
-// per precision by end-to-end GE2VAL rate, probes the batched layer's
-// direct-vs-tiled crossover, and persists the result as a versioned JSON
-// calibration file. Point TBSVD_TUNE_FILE at the output (or write to the
-// default ~/.cache/tbsvd/tune.json) and the library picks it up on first
-// use: tuned nb/ib defaults, measured CP-first scheduler priorities, the
-// tuned dist_sim tile and the batched direct cutoff.
+// per precision by end-to-end GE2VAL rate, and persists the result as a
+// versioned JSON calibration file. Point TBSVD_TUNE_FILE at the output (or
+// write to the default ~/.cache/tbsvd/tune.json) and the library picks it
+// up on first use: tuned nb/ib defaults, measured CP-first scheduler
+// priorities and the tuned dist_sim tile.
 //
 // Usage: tbsvd_tune [--smoke] [--out PATH] [--reps N] [--e2e N]
-//                   [--nbs a,b,...] [--ibs a,b,...] [--no-probe]
+//                   [--nbs a,b,...] [--ibs a,b,...]
 //                   [--f32-only | --f64-only]
-//   --smoke    tiny grid, single rep, no cutoff probe (the CI shape)
+//   --smoke    tiny grid, single rep (the CI shape)
 //   --out      output path (default: $TBSVD_TUNE_FILE, else the cache path)
 #include <cstdio>
 #include <cstdlib>
@@ -40,17 +39,15 @@ bool parse_int_list(const char* s, std::vector<int>& out) {
 int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--smoke] [--out PATH] [--reps N] [--e2e N]\n"
-               "       [--nbs a,b,...] [--ibs a,b,...] [--no-probe]\n"
+               "       [--nbs a,b,...] [--ibs a,b,...]\n"
                "       [--f32-only | --f64-only]\n",
                prog);
   return 2;
 }
 
 void print_precision(const tune::PrecisionCalib& p) {
-  std::printf("  %s: nb=%d ib=%d  e2e=%.2f GFlop/s  gemm=%.2f GFlop/s  "
-              "direct_max_cols=%d\n",
-              p.dtype.c_str(), p.nb, p.ib, p.e2e_gflops, p.gemm_gflops,
-              p.direct_max_cols);
+  std::printf("  %s: nb=%d ib=%d  e2e=%.2f GFlop/s  gemm=%.2f GFlop/s\n",
+              p.dtype.c_str(), p.nb, p.ib, p.e2e_gflops, p.gemm_gflops);
   std::printf("      kernel seconds: GEQRT=%.3e UNMQR=%.3e TSQRT=%.3e "
               "TSMQR=%.3e TTQRT=%.3e TTMQR=%.3e\n",
               p.kernel_seconds.at(Op::GEQRT), p.kernel_seconds.at(Op::UNMQR),
@@ -78,8 +75,6 @@ int main(int argc, char** argv) {
       if (!parse_int_list(argv[++i], opts.nbs)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--ibs") == 0 && i + 1 < argc) {
       if (!parse_int_list(argv[++i], opts.ibs)) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--no-probe") == 0) {
-      opts.probe_direct_cutoff = false;
     } else if (std::strcmp(argv[i], "--f32-only") == 0) {
       opts.tune_f64 = false;
     } else if (std::strcmp(argv[i], "--f64-only") == 0) {
