@@ -10,6 +10,7 @@
 // series runs 128x96 members, the large member of perfbench's
 // batched_mixed workload. Emits BENCH_batched.json (picked up by
 // bench/history/record.sh).
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/svd.hpp"
 #include "lac/qr_rec.hpp"
 #include "tile/matrix_gen.hpp"
+#include "tune/tune.hpp"
 
 namespace tbsvd {
 namespace {
@@ -61,6 +63,13 @@ void run_svd_series(bool smoke, int m, int n, const std::string& prefix,
                                          : std::vector<int>{1, 2, 4};
   const int reps = smoke ? 1 : 3;
   const double problem_flops = flops_ge2bnd(m, n);
+  // The tile size and inner blocking the serial loop's default-options
+  // gesvd_values calls resolve to: the tuned (else 64 / 32) values, nb
+  // capped near n as the driver does, ib capped by nb as GE2BND does.
+  const int bytes = static_cast<int>(sizeof(T));
+  const int serial_nb =
+      std::max(1, std::min(tune::resolved_nb(0, bytes, 64), std::max(64, n)));
+  const int serial_ib = std::min(tune::resolved_ib(0, bytes, 32), serial_nb);
 
   bench::print_header("batched svd " + std::string(bench::dtype_name(dt)) +
                           " (" + std::to_string(m) + "x" + std::to_string(n) +
@@ -84,8 +93,8 @@ void run_svd_series(bool smoke, int m, int n, const std::string& prefix,
     {
       Record r;
       r.name = prefix + "_serial" + suffix;
-      r.nb = GesvdOptions{}.nb;
-      r.ib = GesvdOptions{}.ge2bnd.ib;
+      r.nb = serial_nb;
+      r.ib = serial_ib;
       r.m = m;
       r.n = n;
       r.seconds = t_serial;

@@ -4,25 +4,27 @@
 //   GEQRT 4, UNMQR 6, TSQRT 6, TSMQR 12, TTQRT 2, TTMQR 6.
 // For each (nb, ib) configuration we print the measured time normalized so
 // that GEQRT == 4, the per-kernel seconds, and the achieved GFlop/s at the
-// Table-I flop counts, plus the same comparison for the retained level-2
-// reference TT kernels (the pre-BLAS3 formulation) so the gemm_trap
-// speedup is re-measured on the current machine with every run.
+// Table-I flop counts, plus the same comparison for the level-2 reference
+// TT kernels (the pre-BLAS3 formulation) so the gemm_trap speedup is
+// re-measured on the current machine with every run.
 //
 // Results are appended to BENCH_kernels.json (same Record schema as
 // BENCH_gemm.json, with the normalized weights attached) so kernel-weight
 // drift is diffable across PRs; see docs/EXPERIMENTS.md.
 //
 // Besides the TT comparison, the recursive-BLAS3-panel kernels
-// (GEQRT/GELQT/TSQRT/TSLQT) are timed head-to-head against their retained
+// (GEQRT/GELQT/TSQRT/TSLQT) are timed head-to-head against their
 // level-2-panel *_ref implementations, so the panel speedup is re-measured
 // on the current machine with every run (acceptance floor: GEQRT >= 1.8x
-// at nb = 160, ib = 32).
+// at nb = 160, ib = 32). The *_ref kernels are test oracles (tests/oracle,
+// linked as the tbsvd_oracle target), not library code.
 //
 // Usage: table1_kernels [--smoke] [--out PATH]
 #include <cstring>
 
 #include "bench_common.hpp"
 #include "common/flops.hpp"
+#include "oracle/oracle.hpp"
 
 namespace {
 
@@ -119,7 +121,7 @@ void report_tt_speedup(int nb, int ib, int reps) {
   g_records.push_back(rm);
 }
 
-// Recursive-BLAS3-panel kernels vs the retained level-2-panel references,
+// Recursive-BLAS3-panel kernels vs the level-2-panel reference oracles,
 // timed head to head in this process (same operands, best-of-N).
 void report_panel_speedup(int nb, int ib, int reps) {
   using namespace tbsvd::kernels;

@@ -1,59 +1,41 @@
 #include "baseline/chan.hpp"
 
-#include <algorithm>
+#include <memory>
 
-#include "band/bd2val.hpp"
+#include "batched/small_svd.hpp"
 #include "common/check.hpp"
 #include "common/hazard.hpp"
 #include "lac/blas.hpp"
-#include "lac/qr_ref.hpp"
 
 namespace tbsvd {
 
-bool chan_uses_preqr(int m, int n, const ChanOptions& opts) {
-  return static_cast<double>(m) >= opts.switch_ratio * n;
-}
-
 template <class T>
-std::vector<double> chan_singular_values(ConstMatrixViewT<T> A,
-                                         const ChanOptions& opts) {
+std::vector<double> chan_singular_values(ConstMatrixViewT<T> A) {
   TBSVD_CHECK(A.m >= A.n, "chan_singular_values requires m >= n");
-  TBSVD_CHECK(opts.switch_ratio >= 1.0 && opts.qr_nb >= 1,
-              "chan_singular_values: need switch_ratio >= 1 and qr_nb >= 1");
-  const int m = A.m, n = A.n;
+  const int n = A.n;
   if (n == 0) return {};
   // The working copy is pre-scaled into the safe range once, as dgesvd does
-  // (docs/ROBUSTNESS.md), so the reflector norms cannot overflow. With
-  // preQR (A = Q R) GEBRD + BD2VAL run on the n x n R, which inherits that
-  // scale; without it they run on the copy itself.
-  MatrixT<T> W(m, n);
+  // (docs/ROBUSTNESS.md), so the reflector norms cannot overflow. The preQR
+  // factors it in place and R inherits that scale.
+  MatrixT<T> W(A.m, n);
   copy<T>(A, W.view());
   const ScaledSolve<T> guard("chan_singular_values", W.view());
-  MatrixT<T> R;
-  MatrixViewT<T> r = W.view();
-  if (chan_uses_preqr(m, n, opts)) {
-    std::vector<T> tau(n);
-    geqrf<T>(W.view(), tau.data(), opts.qr_nb);
-    R = MatrixT<T>(n, n);
-    for (int j = 0; j < n; ++j)
-      for (int i = 0; i <= j; ++i) R(i, j) = W(i, j);
-    r = R.view();
-  }
-  std::vector<T> d, e;
-  gebrd<T>(r, d, e, opts.gebrd);
-  std::vector<T> svt = bd2val<T>(std::move(d), std::move(e));
+  // Uninitialized on purpose: small_svd_values ignores the scratch's
+  // contents, and zero-filling 2 n^2 entries cost ~8% of a square n = 512
+  // solve (1 thread, Xeon 2.1 GHz).
+  const std::size_t nn = static_cast<std::size_t>(n) * n;
+  const std::unique_ptr<T[]> tfac(new T[nn]);
+  const std::unique_ptr<T[]> rbuf(new T[nn]);
+  const std::vector<T> svt =
+      batched::small_svd_values<T>(W.view(), tfac.get(), rbuf.get());
   std::vector<double> sv(svt.begin(), svt.end());
   guard.unscale(sv);
   return sv;
 }
 
-#define TBSVD_INSTANTIATE_CHAN(T)                            \
-  template std::vector<double> chan_singular_values<T>(      \
-      ConstMatrixViewT<T>, const ChanOptions&);
-
-TBSVD_INSTANTIATE_CHAN(float)
-TBSVD_INSTANTIATE_CHAN(double)
-
-#undef TBSVD_INSTANTIATE_CHAN
+template std::vector<double> chan_singular_values<float>(
+    ConstMatrixViewT<float>);
+template std::vector<double> chan_singular_values<double>(
+    ConstMatrixViewT<double>);
 
 }  // namespace tbsvd

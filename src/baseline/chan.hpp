@@ -1,29 +1,18 @@
 // Chan's algorithm (preQR + bidiagonalization of R), the trick Elemental
 // applies automatically when m >= 1.2 n (Section VI.B). Serves as the
-// "Elemental" stand-in baseline; with the switch disabled it behaves like
-// plain GEBRD ("ScaLAPACK"/"MKL" stand-ins). Templated over the scalar
-// type T in {float, double}.
+// "Elemental" stand-in baseline; below the switch ratio it runs plain
+// GEBRD. Templated over the scalar type T in {float, double}.
 #pragma once
 
 #include <vector>
 
-#include "baseline/gebrd.hpp"
 #include "lac/dense.hpp"
 
 namespace tbsvd {
 
-struct ChanOptions {
-  double switch_ratio = 1.2;  ///< use preQR when m >= ratio * n (Elemental)
-  GebrdOptions gebrd;
-  int qr_nb = 32;  ///< blocking of the preQR factorization
-};
-
-/// True when Chan's preQR pays off under the configured ratio.
-[[nodiscard]] bool chan_uses_preqr(int m, int n, const ChanOptions& opts);
-
-/// Singular values of A (m >= n) via optional preQR + GEBRD + BD2VAL.
+/// Singular values of A (m >= n) via preQR (when 5m >= 6n) + GEBRD +
+/// BD2VAL, staged by batched::small_svd_values.
 template <class T>
-std::vector<double> chan_singular_values(ConstMatrixViewT<T> A,
-                                         const ChanOptions& opts = {});
+std::vector<double> chan_singular_values(ConstMatrixViewT<T> A);
 
 }  // namespace tbsvd

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "band/bd2val.hpp"
 #include "common/check.hpp"
-#include "common/hazard.hpp"
 #include "lac/blas.hpp"
 #include "lac/householder.hpp"
 
@@ -48,24 +46,8 @@ void gebd2(MatrixViewT<T> A, std::vector<T>& d, std::vector<T>& e) {
   }
 }
 
-template <class T>
-std::vector<double> gebd2_singular_values(ConstMatrixViewT<T> A) {
-  TBSVD_CHECK(A.m >= A.n, "gebd2_singular_values requires m >= n");
-  if (A.n == 0) return {};
-  MatrixT<T> W(A.m, A.n);
-  copy<T>(A, W.view());
-  const ScaledSolve<T> guard("gebd2_singular_values", W.view());
-  std::vector<T> d, e;
-  gebd2<T>(W.view(), d, e);
-  std::vector<T> svt = bd2val<T>(std::move(d), std::move(e));
-  std::vector<double> sv(svt.begin(), svt.end());
-  guard.unscale(sv);
-  return sv;
-}
-
 #define TBSVD_INSTANTIATE_GEBD2(T)                                       \
-  template void gebd2<T>(MatrixViewT<T>, std::vector<T>&, std::vector<T>&); \
-  template std::vector<double> gebd2_singular_values<T>(ConstMatrixViewT<T>);
+  template void gebd2<T>(MatrixViewT<T>, std::vector<T>&, std::vector<T>&);
 
 TBSVD_INSTANTIATE_GEBD2(float)
 TBSVD_INSTANTIATE_GEBD2(double)

@@ -17,9 +17,4 @@ namespace tbsvd {
 template <class T>
 void gebd2(MatrixViewT<T> A, std::vector<T>& d, std::vector<T>& e);
 
-/// Convenience: singular values of A through GEBD2 + BD2VAL (computed in
-/// T, returned in double — float results embed exactly).
-template <class T>
-std::vector<double> gebd2_singular_values(ConstMatrixViewT<T> A);
-
 }  // namespace tbsvd

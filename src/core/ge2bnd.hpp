@@ -25,8 +25,7 @@ struct ExecResult {
   double seconds = 0.0;
 };
 
-/// T-factor storage of one factorization (TS/TT x QR/LQ grids). Keep it
-/// alive to form explicit Q / P factors afterwards (core/qform.hpp).
+/// T-factor storage of one factorization (TS/TT x QR/LQ grids).
 template <class T>
 struct TFactorsT {
   TGridT<T> tqts, tqtt, tlts, tltt;
@@ -70,7 +69,7 @@ struct Ge2bndOptions {
   double gamma = 2.0;  ///< Auto-tree target multiplier of host_cores()
 };
 
-/// The op-stream configuration ge2bnd and bidiag_factored build from opt:
+/// The op-stream configuration ge2bnd builds from opt:
 /// its trees and gamma, with the Auto tree sized for host_cores().
 [[nodiscard]] AlgConfig ge2bnd_config(const Ge2bndOptions& opt) noexcept;
 

@@ -1,7 +1,6 @@
 #include "kernels/lq_kernels.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/check.hpp"
 #include "lac/householder.hpp"
@@ -13,25 +12,9 @@ namespace {
 
 // Per-thread scratch, one instance per scalar type.
 template <class T>
-std::vector<T>& g_tau() {
-  thread_local std::vector<T> v;
-  return v;
-}
-template <class T>
-std::vector<T>& g_w() {
-  thread_local std::vector<T> v;
-  return v;
-}
-template <class T>
 MatrixT<T>& g_apply_work() {  // larfb_right_rows / larfb_ts / larfb_tt
   thread_local MatrixT<T> w;
   return w;
-}
-
-template <class T>
-T* scratch(std::vector<T>& v, std::size_t n) {
-  if (v.size() < n) v.resize(n);
-  return v.data();
 }
 
 }  // namespace
@@ -54,72 +37,6 @@ void gelqt(MatrixViewT<T> A, MatrixViewT<T> Tm, int ib) {
       larfb_right_rows<T>(Trans::Yes, A.block(i0, i0, kb, n - i0), Tp,
                           A.block(i0 + kb, i0, mr, n - i0),
                           g_apply_work<T>());
-    }
-  }
-}
-
-template <class T>
-void gelqt_ref(MatrixViewT<T> A, MatrixViewT<T> Tm, int ib) {
-  const int m = A.m, n = A.n;
-  const int k = std::min(m, n);
-  TBSVD_CHECK(ib >= 1 && Tm.m >= std::min(ib, k) && Tm.n >= k,
-              "gelqt_ref: bad ib or T shape");
-  T* tau = scratch(g_tau<T>(), static_cast<std::size_t>(k));
-
-  for (int i0 = 0; i0 < k; i0 += ib) {
-    const int kb = std::min(ib, k - i0);
-    // --- Factor the row panel. ---
-    for (int il = 0; il < kb; ++il) {
-      const int i = i0 + il;
-      tau[i] = larfg<T>(n - i, A(i, i), &A(i, std::min(i + 1, n - 1)), A.ld);
-      for (int ii = i + 1; ii < i0 + kb; ++ii) {
-        T w = A(ii, i) +
-              dot<T>(n - i - 1, &A(i, i + 1), A.ld, &A(ii, i + 1), A.ld);
-        w *= tau[i];
-        A(ii, i) -= w;
-        axpy<T>(n - i - 1, -w, &A(i, i + 1), A.ld, &A(ii, i + 1), A.ld);
-      }
-    }
-    // --- Accumulate T (row-storage larft). ---
-    MatrixViewT<T> Tp = Tm.block(0, i0, kb, kb);
-    for (int il = 0; il < kb; ++il) {
-      const int i = i0 + il;
-      if (il > 0) {
-        for (int pl = 0; pl < il; ++pl) {
-          const int ip = i0 + pl;
-          Tp(pl, il) =
-              -tau[i] * (A(ip, i) + dot<T>(n - i - 1, &A(ip, i + 1), A.ld,
-                                           &A(i, i + 1), A.ld));
-        }
-        MatrixViewT<T> tcol{Tp.col(il), il, 1, Tp.ld};
-        trmm_left<T>(UpLo::Upper, Trans::No, Diag::NonUnit,
-                     ConstMatrixViewT<T>{Tp.a, il, il, Tp.ld}, tcol);
-      }
-      Tp(il, il) = tau[i];
-    }
-    // --- Apply the block reflector to trailing rows. ---
-    const int mr = m - i0 - kb;
-    if (mr > 0) {
-      ConstMatrixViewT<T> V1 = A.block(i0, i0, kb, kb);  // unit upper
-      MatrixViewT<T> Ca = A.block(i0 + kb, i0, mr, kb);
-      MatrixViewT<T> W{
-          scratch(g_w<T>(), static_cast<std::size_t>(mr) * kb), mr, kb, mr};
-      copy<T>(Ca, W);
-      trmm_right<T>(UpLo::Upper, Trans::Yes, Diag::Unit, W, V1);
-      const int ntail = n - i0 - kb;
-      if (ntail > 0) {
-        ConstMatrixViewT<T> V2p = A.block(i0, i0 + kb, kb, ntail);
-        ConstMatrixViewT<T> Cb = A.block(i0 + kb, i0 + kb, mr, ntail);
-        gemm<T>(Trans::No, Trans::Yes, T(1), Cb, V2p, T(1), W);
-      }
-      trmm_right<T>(UpLo::Upper, Trans::No, Diag::NonUnit, W, Tp);
-      if (ntail > 0) {
-        ConstMatrixViewT<T> V2p = A.block(i0, i0 + kb, kb, ntail);
-        gemm<T>(Trans::No, Trans::No, T(-1), W, V2p, T(1),
-                A.block(i0 + kb, i0 + kb, mr, ntail));
-      }
-      trmm_right<T>(UpLo::Upper, Trans::No, Diag::Unit, W, V1);
-      sub_inplace<T>(Ca, W);
     }
   }
 }
@@ -160,69 +77,6 @@ void tslqt(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm, int ib) {
       larfb_ts<T>(Side::Right, Trans::Yes, A2.block(i0, 0, kb, m2), Tp,
                   A1.block(i0 + kb, i0, mr, kb),
                   A2.block(i0 + kb, 0, mr, m2), g_apply_work<T>());
-    }
-  }
-}
-
-template <class T>
-void tslqt_ref(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm,
-               int ib) {
-  const int n1 = A1.m;
-  const int m2 = A2.n;
-  TBSVD_CHECK(A1.n == n1 && A2.m == n1, "tslqt_ref: shape mismatch");
-  if (m2 == 0) {
-    // Empty-edge tile: identity reflectors, L untouched, T triangles zero.
-    for (int i0 = 0; i0 < n1; i0 += ib) {
-      const int kb = std::min(ib, n1 - i0);
-      MatrixViewT<T> Tp = Tm.block(0, i0, kb, kb);
-      for (int il = 0; il < kb; ++il)
-        for (int pl = 0; pl <= il; ++pl) Tp(pl, il) = T(0);
-    }
-    return;
-  }
-  T* tau = scratch(g_tau<T>(), static_cast<std::size_t>(n1));
-
-  for (int i0 = 0; i0 < n1; i0 += ib) {
-    const int kb = std::min(ib, n1 - i0);
-    // --- Factor the row panel: reflectors live in A2's rows. ---
-    for (int il = 0; il < kb; ++il) {
-      const int i = i0 + il;
-      tau[i] = larfg<T>(m2 + 1, A1(i, i), &A2(i, 0), A2.ld);
-      for (int ii = i + 1; ii < i0 + kb; ++ii) {
-        T w = A1(ii, i) + dot<T>(m2, &A2(i, 0), A2.ld, &A2(ii, 0), A2.ld);
-        w *= tau[i];
-        A1(ii, i) -= w;
-        axpy<T>(m2, -w, &A2(i, 0), A2.ld, &A2(ii, 0), A2.ld);
-      }
-    }
-    // --- Accumulate T. ---
-    MatrixViewT<T> Tp = Tm.block(0, i0, kb, kb);
-    for (int il = 0; il < kb; ++il) {
-      const int i = i0 + il;
-      if (il > 0) {
-        for (int pl = 0; pl < il; ++pl) {
-          Tp(pl, il) = -tau[i] *
-                       dot<T>(m2, &A2(i0 + pl, 0), A2.ld, &A2(i, 0), A2.ld);
-        }
-        MatrixViewT<T> tcol{Tp.col(il), il, 1, Tp.ld};
-        trmm_left<T>(UpLo::Upper, Trans::No, Diag::NonUnit,
-                     ConstMatrixViewT<T>{Tp.a, il, il, Tp.ld}, tcol);
-      }
-      Tp(il, il) = tau[i];
-    }
-    // --- Trailing rows of [A1 | A2] (identity V1 part: no trmm). ---
-    const int mr = n1 - i0 - kb;
-    if (mr > 0) {
-      ConstMatrixViewT<T> V2p = A2.block(i0, 0, kb, m2);
-      MatrixViewT<T> Ca = A1.block(i0 + kb, i0, mr, kb);
-      MatrixViewT<T> Cb = A2.block(i0 + kb, 0, mr, m2);
-      MatrixViewT<T> W{
-          scratch(g_w<T>(), static_cast<std::size_t>(mr) * kb), mr, kb, mr};
-      copy<T>(Ca, W);
-      gemm<T>(Trans::No, Trans::Yes, T(1), Cb, V2p, T(1), W);
-      trmm_right<T>(UpLo::Upper, Trans::No, Diag::NonUnit, W, Tp);
-      sub_inplace<T>(Ca, W);
-      gemm<T>(Trans::No, Trans::No, T(-1), W, V2p, T(1), Cb);
     }
   }
 }
@@ -305,122 +159,18 @@ void ttmlq(Trans trans, MatrixViewT<T> C1, MatrixViewT<T> C2,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Reference TT kernels: the original per-row-support level-2 formulation,
-// retained for test cross-validation of the blocked gemm_trap path above.
-// ---------------------------------------------------------------------------
-
-template <class T>
-void ttlqt_ref(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm,
-               int ib) {
-  const int n = A1.m;
-  TBSVD_CHECK(A1.n == n && A2.m == n && A2.n == n,
-              "ttlqt_ref: shape mismatch");
-  T* tau = scratch(g_tau<T>(), static_cast<std::size_t>(n));
-
-  for (int i0 = 0; i0 < n; i0 += ib) {
-    const int kb = std::min(ib, n - i0);
-    for (int il = 0; il < kb; ++il) {
-      const int i = i0 + il;
-      tau[i] = larfg<T>(i + 2, A1(i, i), &A2(i, 0), A2.ld);
-      for (int ii = i + 1; ii < i0 + kb; ++ii) {
-        T w = A1(ii, i) + dot<T>(i + 1, &A2(i, 0), A2.ld, &A2(ii, 0), A2.ld);
-        w *= tau[i];
-        A1(ii, i) -= w;
-        axpy<T>(i + 1, -w, &A2(i, 0), A2.ld, &A2(ii, 0), A2.ld);
-      }
-    }
-    MatrixViewT<T> Tp = Tm.block(0, i0, kb, kb);
-    for (int il = 0; il < kb; ++il) {
-      const int i = i0 + il;
-      if (il > 0) {
-        for (int pl = 0; pl < il; ++pl) {
-          const int ip = i0 + pl;
-          Tp(pl, il) = -tau[i] *
-                       dot<T>(ip + 1, &A2(ip, 0), A2.ld, &A2(i, 0), A2.ld);
-        }
-        MatrixViewT<T> tcol{Tp.col(il), il, 1, Tp.ld};
-        trmm_left<T>(UpLo::Upper, Trans::No, Diag::NonUnit,
-                     ConstMatrixViewT<T>{Tp.a, il, il, Tp.ld}, tcol);
-      }
-      Tp(il, il) = tau[i];
-    }
-    const int mr = n - i0 - kb;
-    if (mr > 0) {
-      MatrixViewT<T> Ca = A1.block(i0 + kb, i0, mr, kb);
-      MatrixViewT<T> W{
-          scratch(g_w<T>(), static_cast<std::size_t>(mr) * kb), mr, kb, mr};
-      copy<T>(Ca, W);
-      for (int l = 0; l < kb; ++l) {
-        const int il = i0 + l;
-        gemv<T>(Trans::No, T(1), A2.block(i0 + kb, 0, mr, il + 1),
-                &A2(il, 0), A2.ld, T(1), &W(0, l), 1);
-      }
-      trmm_right<T>(UpLo::Upper, Trans::No, Diag::NonUnit, W, Tp);
-      sub_inplace<T>(Ca, W);
-      for (int l = 0; l < kb; ++l) {
-        const int il = i0 + l;
-        for (int c = 0; c <= il; ++c) {
-          axpy<T>(mr, -A2(il, c), W.col(l), 1, &A2(i0 + kb, c), 1);
-        }
-      }
-    }
-  }
-}
-
-template <class T>
-void ttmlq_ref(Trans trans, MatrixViewT<T> C1, MatrixViewT<T> C2,
-               ConstMatrixViewT<T> V2, ConstMatrixViewT<T> Tm, int ib) {
-  const int k = V2.m;
-  const int mc = C1.m;
-  TBSVD_CHECK(C1.n >= k && C2.m == mc && C2.n >= k,
-              "ttmlq_ref: shape mismatch");
-  const int npanels = (k + ib - 1) / ib;
-  for (int b = 0; b < npanels; ++b) {
-    const int pb = (trans == Trans::Yes) ? b : npanels - 1 - b;
-    const int i0 = pb * ib;
-    const int kb = std::min(ib, k - i0);
-    ConstMatrixViewT<T> Tp = Tm.block(0, i0, kb, kb);
-    MatrixViewT<T> C1p = C1.block(0, i0, mc, kb);
-    MatrixViewT<T> W{
-        scratch(g_w<T>(), static_cast<std::size_t>(mc) * kb), mc, kb, mc};
-    copy<T>(C1p, W);
-    for (int l = 0; l < kb; ++l) {
-      const int il = i0 + l;
-      gemv<T>(Trans::No, T(1), C2.block(0, 0, mc, il + 1), V2.a + il, V2.ld,
-              T(1), &W(0, l), 1);
-    }
-    trmm_right<T>(UpLo::Upper, trans == Trans::Yes ? Trans::No : Trans::Yes,
-                  Diag::NonUnit, W, Tp);
-    sub_inplace<T>(C1p, W);
-    for (int l = 0; l < kb; ++l) {
-      const int il = i0 + l;
-      for (int c = 0; c <= il; ++c) {
-        axpy<T>(mc, -V2(il, c), W.col(l), 1, C2.col(c), 1);
-      }
-    }
-  }
-}
-
 #define TBSVD_INSTANTIATE_LQ_KERNELS(T)                                       \
   template void gelqt<T>(MatrixViewT<T>, MatrixViewT<T>, int);                \
-  template void gelqt_ref<T>(MatrixViewT<T>, MatrixViewT<T>, int);            \
   template void unmlq<T>(Trans, ConstMatrixViewT<T>, ConstMatrixViewT<T>,     \
                          MatrixViewT<T>, int);                                \
   template void tslqt<T>(MatrixViewT<T>, MatrixViewT<T>, MatrixViewT<T>,      \
                          int);                                                \
-  template void tslqt_ref<T>(MatrixViewT<T>, MatrixViewT<T>, MatrixViewT<T>,  \
-                             int);                                            \
   template void tsmlq<T>(Trans, MatrixViewT<T>, MatrixViewT<T>,               \
                          ConstMatrixViewT<T>, ConstMatrixViewT<T>, int);      \
   template void ttlqt<T>(MatrixViewT<T>, MatrixViewT<T>, MatrixViewT<T>,      \
                          int);                                                \
-  template void ttlqt_ref<T>(MatrixViewT<T>, MatrixViewT<T>, MatrixViewT<T>,  \
-                             int);                                            \
   template void ttmlq<T>(Trans, MatrixViewT<T>, MatrixViewT<T>,               \
-                         ConstMatrixViewT<T>, ConstMatrixViewT<T>, int);      \
-  template void ttmlq_ref<T>(Trans, MatrixViewT<T>, MatrixViewT<T>,           \
-                             ConstMatrixViewT<T>, ConstMatrixViewT<T>, int);
+                         ConstMatrixViewT<T>, ConstMatrixViewT<T>, int);
 
 TBSVD_INSTANTIATE_LQ_KERNELS(float)
 TBSVD_INSTANTIATE_LQ_KERNELS(double)

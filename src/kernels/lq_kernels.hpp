@@ -74,22 +74,4 @@ template <class T>
 void ttmlq(Trans trans, MatrixViewT<T> C1, MatrixViewT<T> C2,
            ConstMatrixViewT<T> V2, ConstMatrixViewT<T> Tm, int ib);
 
-/// Reference kernels with level-2 (gelq2-style) panel factorization,
-/// retained for test cross-validation of the recursive BLAS3 panel path
-/// and for re-measuring the panel speedup; not on the execution path.
-template <class T>
-void gelqt_ref(MatrixViewT<T> A, MatrixViewT<T> Tm, int ib);
-template <class T>
-void tslqt_ref(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm,
-               int ib);
-
-/// Reference level-2 TT kernels (per-row-support gemv/axpy loops), retained
-/// for test cross-validation of the blocked path; not on the hot path.
-template <class T>
-void ttlqt_ref(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm,
-               int ib);
-template <class T>
-void ttmlq_ref(Trans trans, MatrixViewT<T> C1, MatrixViewT<T> C2,
-               ConstMatrixViewT<T> V2, ConstMatrixViewT<T> Tm, int ib);
-
 }  // namespace tbsvd::kernels

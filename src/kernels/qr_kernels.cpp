@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
 #include "lac/householder.hpp"
 #include "lac/qr_rec.hpp"
-#include "lac/qr_ref.hpp"
 
 namespace tbsvd::kernels {
 
@@ -17,25 +15,9 @@ namespace {
 // Per-thread scratch, one instance per scalar type, to avoid per-task
 // allocation in the runtime's hot path.
 template <class T>
-std::vector<T>& g_tau() {
-  thread_local std::vector<T> v;
-  return v;
-}
-template <class T>
-std::vector<T>& g_w() {
-  thread_local std::vector<T> v;
-  return v;
-}
-template <class T>
 MatrixT<T>& g_larfb_work() {
   thread_local MatrixT<T> w;
   return w;
-}
-
-template <class T>
-T* scratch(std::vector<T>& v, std::size_t n) {
-  if (v.size() < n) v.resize(n);
-  return v.data();
 }
 
 // Size the shared larfb workspace once for a whole kernel invocation so the
@@ -73,27 +55,6 @@ void geqrt(MatrixViewT<T> A, MatrixViewT<T> Tm, int ib) {
   }
   if (TBSVD_FAULT_FIRE("kernels.geqrt.poison_nan")) {
     A(0, 0) = std::numeric_limits<T>::quiet_NaN();
-  }
-}
-
-template <class T>
-void geqrt_ref(MatrixViewT<T> A, MatrixViewT<T> Tm, int ib) {
-  const int m = A.m, n = A.n;
-  const int k = std::min(m, n);
-  TBSVD_CHECK(ib >= 1 && Tm.m >= std::min(ib, k) && Tm.n >= k,
-              "geqrt_ref: bad ib or T shape");
-  T* tau = scratch(g_tau<T>(), static_cast<std::size_t>(k));
-  reserve_larfb_work<T>(std::min(ib, k), n - std::min(ib, k));
-  for (int j0 = 0; j0 < k; j0 += ib) {
-    const int kb = std::min(ib, k - j0);
-    MatrixViewT<T> panel = A.block(j0, j0, m - j0, kb);
-    geqr2<T>(panel, tau + j0);
-    MatrixViewT<T> Tp = Tm.block(0, j0, kb, kb);
-    larft<T>(panel, tau + j0, Tp);
-    if (j0 + kb < n) {
-      larfb<T>(Side::Left, Trans::Yes, panel, Tp,
-               A.block(j0, j0 + kb, m - j0, n - j0 - kb), g_larfb_work<T>());
-    }
   }
 }
 
@@ -136,71 +97,6 @@ void tsqrt(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm, int ib) {
       larfb_ts<T>(Side::Left, Trans::Yes, V2p, Tp,
                   A1.block(j0, j0 + kb, kb, nc), A2.block(0, j0 + kb, m2, nc),
                   g_larfb_work<T>());
-    }
-  }
-}
-
-template <class T>
-void tsqrt_ref(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm,
-               int ib) {
-  const int n = A1.n;
-  const int m2 = A2.m;
-  TBSVD_CHECK(A1.m == n && A2.n == n, "tsqrt_ref: shape mismatch");
-  if (m2 == 0) {
-    // Empty-edge tile: identity reflectors, R untouched, T triangles zero.
-    for (int j0 = 0; j0 < n; j0 += ib) {
-      const int kb = std::min(ib, n - j0);
-      MatrixViewT<T> Tp = Tm.block(0, j0, kb, kb);
-      for (int jl = 0; jl < kb; ++jl)
-        for (int il = 0; il <= jl; ++il) Tp(il, jl) = T(0);
-    }
-    return;
-  }
-  T* tau = scratch(g_tau<T>(), static_cast<std::size_t>(n));
-
-  for (int j0 = 0; j0 < n; j0 += ib) {
-    const int kb = std::min(ib, n - j0);
-    // --- Factor the panel: reflectors live entirely in A2's columns. ---
-    for (int jl = 0; jl < kb; ++jl) {
-      const int j = j0 + jl;
-      tau[j] = larfg<T>(m2 + 1, A1(j, j), A2.col(j), 1);
-      for (int jj = j + 1; jj < j0 + kb; ++jj) {
-        T w = A1(j, jj) + dot<T>(m2, A2.col(j), 1, A2.col(jj), 1);
-        w *= tau[j];
-        A1(j, jj) -= w;
-        axpy<T>(m2, -w, A2.col(j), 1, A2.col(jj), 1);
-      }
-    }
-    // --- Accumulate T for the panel (V_i^T V_j reduces to v2 dot v2). ---
-    MatrixViewT<T> Tp = Tm.block(0, j0, kb, kb);
-    for (int jl = 0; jl < kb; ++jl) {
-      const int j = j0 + jl;
-      if (jl > 0) {
-        for (int il = 0; il < jl; ++il) Tp(il, jl) = T(0);
-        gemv<T>(Trans::Yes, -tau[j],
-                ConstMatrixViewT<T>{A2.col(j0), m2, jl, A2.ld}, A2.col(j), 1,
-                T(1), Tp.col(jl), 1);
-        MatrixViewT<T> tcol{Tp.col(jl), jl, 1, Tp.ld};
-        trmm_left<T>(UpLo::Upper, Trans::No, Diag::NonUnit,
-                     ConstMatrixViewT<T>{Tp.a, jl, jl, Tp.ld}, tcol);
-      }
-      Tp(jl, jl) = tau[j];
-    }
-    // --- Apply the block reflector to trailing columns of [A1; A2]. ---
-    const int nc = n - j0 - kb;
-    if (nc > 0) {
-      ConstMatrixViewT<T> V2p{A2.col(j0), m2, kb, A2.ld};
-      MatrixViewT<T> C1 = A1.block(j0, j0 + kb, kb, nc);
-      MatrixViewT<T> C2 = A2.block(0, j0 + kb, m2, nc);
-      MatrixViewT<T> W{
-          scratch(g_w<T>(), static_cast<std::size_t>(kb) * nc), kb, nc, kb};
-      copy<T>(C1, W);
-      gemm<T>(Trans::Yes, Trans::No, T(1), V2p, C2, T(1), W);
-      trmm_left<T>(UpLo::Upper, Trans::Yes, Diag::NonUnit, Tp, W);
-      for (int j = 0; j < nc; ++j) {
-        for (int i = 0; i < kb; ++i) C1(i, j) -= W(i, j);
-      }
-      gemm<T>(Trans::No, Trans::No, T(-1), V2p, W, T(1), C2);
     }
   }
 }
@@ -284,127 +180,18 @@ void ttmqr(Trans trans, MatrixViewT<T> C1, MatrixViewT<T> C2,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Reference TT kernels: the original per-column-support level-2 formulation
-// (gemv/axpy over each reflector's triangular support). Retained so the
-// tests can cross-validate the blocked gemm_trap path above against an
-// independent implementation; not used on the execution path.
-// ---------------------------------------------------------------------------
-
-template <class T>
-void ttqrt_ref(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm,
-               int ib) {
-  const int n = A1.n;
-  TBSVD_CHECK(A1.m == n && A2.m == n && A2.n == n,
-              "ttqrt_ref: shape mismatch");
-  T* tau = scratch(g_tau<T>(), static_cast<std::size_t>(n));
-
-  for (int j0 = 0; j0 < n; j0 += ib) {
-    const int kb = std::min(ib, n - j0);
-    for (int jl = 0; jl < kb; ++jl) {
-      const int j = j0 + jl;
-      tau[j] = larfg<T>(j + 2, A1(j, j), A2.col(j), 1);
-      for (int jj = j + 1; jj < j0 + kb; ++jj) {
-        T w = A1(j, jj) + dot<T>(j + 1, A2.col(j), 1, A2.col(jj), 1);
-        w *= tau[j];
-        A1(j, jj) -= w;
-        axpy<T>(j + 1, -w, A2.col(j), 1, A2.col(jj), 1);
-      }
-    }
-    MatrixViewT<T> Tp = Tm.block(0, j0, kb, kb);
-    for (int jl = 0; jl < kb; ++jl) {
-      const int j = j0 + jl;
-      if (jl > 0) {
-        for (int pl = 0; pl < jl; ++pl) {
-          const int jp = j0 + pl;
-          Tp(pl, jl) =
-              -tau[j] * dot<T>(jp + 1, A2.col(jp), 1, A2.col(j), 1);
-        }
-        MatrixViewT<T> tcol{Tp.col(jl), jl, 1, Tp.ld};
-        trmm_left<T>(UpLo::Upper, Trans::No, Diag::NonUnit,
-                     ConstMatrixViewT<T>{Tp.a, jl, jl, Tp.ld}, tcol);
-      }
-      Tp(jl, jl) = tau[j];
-    }
-    const int nc = n - j0 - kb;
-    if (nc > 0) {
-      MatrixViewT<T> C1 = A1.block(j0, j0 + kb, kb, nc);
-      MatrixViewT<T> W{
-          scratch(g_w<T>(), static_cast<std::size_t>(kb) * nc), kb, nc, kb};
-      copy<T>(C1, W);
-      for (int l = 0; l < kb; ++l) {
-        const int jl = j0 + l;
-        gemv<T>(Trans::Yes, T(1), A2.block(0, j0 + kb, jl + 1, nc),
-                A2.col(jl), 1, T(1), &W(l, 0), W.ld);
-      }
-      trmm_left<T>(UpLo::Upper, Trans::Yes, Diag::NonUnit, Tp, W);
-      for (int j = 0; j < nc; ++j) {
-        for (int i = 0; i < kb; ++i) C1(i, j) -= W(i, j);
-      }
-      for (int l = 0; l < kb; ++l) {
-        const int jl = j0 + l;
-        for (int c = 0; c < nc; ++c) {
-          axpy<T>(jl + 1, -W(l, c), A2.col(jl), 1, A2.col(j0 + kb + c), 1);
-        }
-      }
-    }
-  }
-}
-
-template <class T>
-void ttmqr_ref(Trans trans, MatrixViewT<T> C1, MatrixViewT<T> C2,
-               ConstMatrixViewT<T> V2, ConstMatrixViewT<T> Tm, int ib) {
-  const int k = V2.n;
-  const int nc = C1.n;
-  TBSVD_CHECK(C1.m >= k && C2.n == nc && C2.m >= k,
-              "ttmqr_ref: shape mismatch");
-  const int npanels = (k + ib - 1) / ib;
-  for (int b = 0; b < npanels; ++b) {
-    const int pb = (trans == Trans::Yes) ? b : npanels - 1 - b;
-    const int j0 = pb * ib;
-    const int kb = std::min(ib, k - j0);
-    ConstMatrixViewT<T> Tp = Tm.block(0, j0, kb, kb);
-    MatrixViewT<T> C1p = C1.block(j0, 0, kb, nc);
-    MatrixViewT<T> W{
-        scratch(g_w<T>(), static_cast<std::size_t>(kb) * nc), kb, nc, kb};
-    copy<T>(C1p, W);
-    for (int l = 0; l < kb; ++l) {
-      const int jl = j0 + l;
-      gemv<T>(Trans::Yes, T(1), C2.block(0, 0, jl + 1, nc), V2.col(jl), 1,
-              T(1), &W(l, 0), W.ld);
-    }
-    trmm_left<T>(UpLo::Upper, trans, Diag::NonUnit, Tp, W);
-    for (int j = 0; j < nc; ++j) {
-      for (int i = 0; i < kb; ++i) C1p(i, j) -= W(i, j);
-    }
-    for (int l = 0; l < kb; ++l) {
-      const int jl = j0 + l;
-      for (int c = 0; c < nc; ++c) {
-        axpy<T>(jl + 1, -W(l, c), V2.col(jl), 1, C2.col(c), 1);
-      }
-    }
-  }
-}
-
 #define TBSVD_INSTANTIATE_QR_KERNELS(T)                                       \
   template void geqrt<T>(MatrixViewT<T>, MatrixViewT<T>, int);                \
-  template void geqrt_ref<T>(MatrixViewT<T>, MatrixViewT<T>, int);            \
   template void unmqr<T>(Trans, ConstMatrixViewT<T>, ConstMatrixViewT<T>,     \
                          MatrixViewT<T>, int);                                \
   template void tsqrt<T>(MatrixViewT<T>, MatrixViewT<T>, MatrixViewT<T>,      \
                          int);                                                \
-  template void tsqrt_ref<T>(MatrixViewT<T>, MatrixViewT<T>, MatrixViewT<T>,  \
-                             int);                                            \
   template void tsmqr<T>(Trans, MatrixViewT<T>, MatrixViewT<T>,               \
                          ConstMatrixViewT<T>, ConstMatrixViewT<T>, int);      \
   template void ttqrt<T>(MatrixViewT<T>, MatrixViewT<T>, MatrixViewT<T>,      \
                          int);                                                \
-  template void ttqrt_ref<T>(MatrixViewT<T>, MatrixViewT<T>, MatrixViewT<T>,  \
-                             int);                                            \
   template void ttmqr<T>(Trans, MatrixViewT<T>, MatrixViewT<T>,               \
-                         ConstMatrixViewT<T>, ConstMatrixViewT<T>, int);      \
-  template void ttmqr_ref<T>(Trans, MatrixViewT<T>, MatrixViewT<T>,           \
-                             ConstMatrixViewT<T>, ConstMatrixViewT<T>, int);
+                         ConstMatrixViewT<T>, ConstMatrixViewT<T>, int);
 
 TBSVD_INSTANTIATE_QR_KERNELS(float)
 TBSVD_INSTANTIATE_QR_KERNELS(double)

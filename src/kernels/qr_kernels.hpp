@@ -79,27 +79,6 @@ template <class T>
 void ttmqr(Trans trans, MatrixViewT<T> C1, MatrixViewT<T> C2,
            ConstMatrixViewT<T> V2, ConstMatrixViewT<T> Tm, int ib);
 
-/// Reference kernels with level-2 (geqr2-style) panel factorization: the
-/// pre-recursive formulation, retained so the tests can cross-validate the
-/// recursive BLAS3 panel path against an independent implementation and so
-/// the benches can re-measure the panel speedup on the current machine.
-/// Not on the execution path.
-template <class T>
-void geqrt_ref(MatrixViewT<T> A, MatrixViewT<T> Tm, int ib);
-template <class T>
-void tsqrt_ref(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm,
-               int ib);
-
-/// Reference level-2 TT kernels (per-column-support gemv/axpy loops, the
-/// pre-BLAS3 formulation). Retained so tests can cross-validate the blocked
-/// kernels against an independent implementation; not on the hot path.
-template <class T>
-void ttqrt_ref(MatrixViewT<T> A1, MatrixViewT<T> A2, MatrixViewT<T> Tm,
-               int ib);
-template <class T>
-void ttmqr_ref(Trans trans, MatrixViewT<T> C1, MatrixViewT<T> C2,
-               ConstMatrixViewT<T> V2, ConstMatrixViewT<T> Tm, int ib);
-
 /// Leading-order flop counts (for GFlop/s reporting in benches).
 constexpr double flops_geqrt(double m, double n) {
   return 2.0 * m * n * n - (2.0 / 3.0) * n * n * n;

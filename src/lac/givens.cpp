@@ -16,28 +16,7 @@ GivensRotationT<T> lartg(T f, T g) noexcept {
   return {f / r, g / r, r};
 }
 
-template <class T>
-void rot(int n, T* x, int incx, T* y, int incy, T c, T s) noexcept {
-  if (incx == 1 && incy == 1) {
-    for (int i = 0; i < n; ++i) {
-      const T xi = x[i], yi = y[i];
-      x[i] = c * xi + s * yi;
-      y[i] = -s * xi + c * yi;
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const T xi = x[i * incx], yi = y[i * incy];
-      x[i * incx] = c * xi + s * yi;
-      y[i * incy] = -s * xi + c * yi;
-    }
-  }
-}
-
 template GivensRotationT<float> lartg<float>(float, float) noexcept;
 template GivensRotationT<double> lartg<double>(double, double) noexcept;
-template void rot<float>(int, float*, int, float*, int, float,
-                         float) noexcept;
-template void rot<double>(int, double*, int, double*, int, double,
-                          double) noexcept;
 
 }  // namespace tbsvd

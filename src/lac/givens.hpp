@@ -1,5 +1,5 @@
 // Givens plane rotations (LAPACK dlartg equivalent), used by the
-// band-to-bidiagonal bulge chasing stage. Templated over the scalar type
+// bidiagonal QR sweeps of BD2VAL. Templated over the scalar type
 // T in {float, double}; the unsuffixed names remain the double aliases.
 #pragma once
 
@@ -18,10 +18,5 @@ using GivensRotation = GivensRotationT<double>;
 
 template <class T>
 [[nodiscard]] GivensRotationT<T> lartg(T f, T g) noexcept;
-
-/// Apply rotation to the pair (x, y): x' = c*x + s*y, y' = -s*x + c*y,
-/// over n strided elements.
-template <class T>
-void rot(int n, T* x, int incx, T* y, int incy, T c, T s) noexcept;
 
 }  // namespace tbsvd

@@ -1,7 +1,7 @@
-// Reference dense QR / LQ factorizations (LAPACK geqr2/geqrf/orgqr-style),
-// templated over the scalar type T in {float, double}.
-// Used as the correctness oracle for the tile kernels, by the test-matrix
-// generator (random orthogonal factors), and by the Chan / GEBRD baselines.
+// Reference dense QR factorization (LAPACK geqr2/geqrf/orgqr-style),
+// templated over the scalar type T in {float, double}. Used by the
+// test-matrix generator (random orthogonal factors) and by the test
+// oracles' level-2 reference kernels.
 #pragma once
 
 #include "lac/blas.hpp"
@@ -22,20 +22,5 @@ void geqrf(MatrixViewT<T> A, T* tau, int nb = 32);
 /// factorization with k reflectors. Q must be m x ncols with ncols >= k.
 template <class T>
 void orgqr(ConstMatrixViewT<T> A, const T* tau, int k, MatrixViewT<T> Q);
-
-/// Unblocked Householder LQ: A (m x n) overwritten with L in the lower
-/// triangle and reflectors right of the diagonal; tau has min(m,n) entries.
-template <class T>
-void gelq2(MatrixViewT<T> A, T* tau);
-
-/// Form the leading nrows rows of Q (nrows x n) from a gelq2 factorization
-/// with k reflectors.
-template <class T>
-void orglq(ConstMatrixViewT<T> A, const T* tau, int k, MatrixViewT<T> Q);
-
-/// Multiply C := Q^T C (trans) or Q C, with Q from geqr2/geqrf stored in A.
-template <class T>
-void ormqr_left(Trans trans, ConstMatrixViewT<T> A, const T* tau, int k,
-                MatrixViewT<T> C);
 
 }  // namespace tbsvd

@@ -1,11 +1,12 @@
-#include "lac/jacobi_svd.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "lac/blas.hpp"
+#include "band/bd2val.hpp"
+#include "baseline/gebd2.hpp"
 #include "common/check.hpp"
+#include "common/hazard.hpp"
+#include "oracle/oracle.hpp"
 
 namespace tbsvd {
 
@@ -63,9 +64,29 @@ std::vector<double> jacobi_singular_values(ConstMatrixViewT<T> A,
   return sv;
 }
 
-template std::vector<double> jacobi_singular_values<float>(
-    ConstMatrixViewT<float>, int);
-template std::vector<double> jacobi_singular_values<double>(
-    ConstMatrixViewT<double>, int);
+template <class T>
+std::vector<double> gebd2_singular_values(ConstMatrixViewT<T> A) {
+  TBSVD_CHECK(A.m >= A.n, "gebd2_singular_values requires m >= n");
+  if (A.n == 0) return {};
+  MatrixT<T> W(A.m, A.n);
+  copy<T>(A, W.view());
+  const ScaledSolve<T> guard("gebd2_singular_values", W.view());
+  std::vector<T> d, e;
+  gebd2<T>(W.view(), d, e);
+  std::vector<T> svt = bd2val<T>(std::move(d), std::move(e));
+  std::vector<double> sv(svt.begin(), svt.end());
+  guard.unscale(sv);
+  return sv;
+}
+
+#define TBSVD_INSTANTIATE_SVD_ORACLES(T)                              \
+  template std::vector<double> jacobi_singular_values<T>(             \
+      ConstMatrixViewT<T>, int);                                      \
+  template std::vector<double> gebd2_singular_values<T>(ConstMatrixViewT<T>);
+
+TBSVD_INSTANTIATE_SVD_ORACLES(float)
+TBSVD_INSTANTIATE_SVD_ORACLES(double)
+
+#undef TBSVD_INSTANTIATE_SVD_ORACLES
 
 }  // namespace tbsvd

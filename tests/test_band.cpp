@@ -12,7 +12,7 @@
 #include "band/bnd2bd.hpp"
 #include "band/sturm.hpp"
 #include "common/rng.hpp"
-#include "lac/jacobi_svd.hpp"
+#include "oracle/oracle.hpp"
 #include "test_harness.hpp"
 
 namespace tbsvd {

@@ -6,9 +6,8 @@
 #include <tuple>
 
 #include "baseline/chan.hpp"
-#include "baseline/gebd2.hpp"
 #include "baseline/gebrd.hpp"
-#include "lac/jacobi_svd.hpp"
+#include "oracle/oracle.hpp"
 #include "tile/matrix_gen.hpp"
 
 namespace tbsvd {
@@ -77,25 +76,21 @@ TEST(Gebrd, PrescribedSpectrumRecovered) {
     EXPECT_NEAR(got[i], sv[i], 1e-10) << "sv " << i;
 }
 
-TEST(Chan, SwitchRuleAndCorrectness) {
-  ChanOptions opts;
-  EXPECT_TRUE(chan_uses_preqr(120, 100, opts));
-  EXPECT_FALSE(chan_uses_preqr(110, 100, opts));
-
+TEST(Chan, BothBranchesRecoverPrescribedSpectrum) {
   // Tall-and-skinny: preQR path.
   GenOptions gopt;
   gopt.profile = SvProfile::Arithmetic;
   gopt.cond = 100.0;
   std::vector<double> sv;
   Matrix A = generate_latms(90, 20, gopt, sv);
-  const auto got = chan_singular_values(A.cview(), opts);
+  const auto got = chan_singular_values(A.cview());
   ASSERT_EQ(got.size(), sv.size());
   for (std::size_t i = 0; i < sv.size(); ++i)
     EXPECT_NEAR(got[i], sv[i], 1e-11) << "sv " << i;
 
   // Square: plain GEBRD path, same answer.
   Matrix B = generate_latms(24, 24, gopt, sv);
-  const auto got2 = chan_singular_values(B.cview(), opts);
+  const auto got2 = chan_singular_values(B.cview());
   for (std::size_t i = 0; i < sv.size(); ++i)
     EXPECT_NEAR(got2[i], sv[i], 1e-11) << "sv " << i;
 }

@@ -12,8 +12,8 @@
 #include "batched/batched.hpp"
 #include "common/fault.hpp"
 #include "common/hazard.hpp"
-#include "lac/jacobi_svd.hpp"
 #include "lac/qr_rec.hpp"
+#include "oracle/oracle.hpp"
 #include "test_harness.hpp"
 
 namespace tbsvd {
@@ -157,7 +157,9 @@ TYPED_TEST(BatchedT, InvalidViewIsIsolatedInvalidArgument) {
   const auto res = batched::svd<T>(views);
   EXPECT_EQ(res.reports[1].status, Status::InvalidArgument);
   for (std::size_t i = 0; i < views.size(); ++i) {
-    if (i != 1) EXPECT_TRUE(res.reports[i].ok()) << i;
+    if (i != 1) {
+      EXPECT_TRUE(res.reports[i].ok()) << i;
+    }
   }
 }
 

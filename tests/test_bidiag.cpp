@@ -14,7 +14,7 @@
 #include "core/alg_gen.hpp"
 #include "core/ge2bnd.hpp"
 #include "core/svd.hpp"
-#include "lac/jacobi_svd.hpp"
+#include "oracle/oracle.hpp"
 #include "tile/matrix_gen.hpp"
 
 namespace tbsvd {

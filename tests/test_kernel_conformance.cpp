@@ -1,6 +1,6 @@
 // Randomized kernel-conformance sweep: every factor-kernel family
 // (GE/TS/TT x QR/LQ) runs the blocked path (recursive BLAS3 panels, masked
-// trapezoidal updates) against its retained level-2 *_ref implementation
+// trapezoidal updates) against its level-2 *_ref oracle (tests/oracle)
 // over a grid of shapes that includes ib values that do not divide nb,
 // single-column tiles (nb == 1), ib > nb, and empty-edge tiles (m2 == 0
 // TS panels, zero-width updates). The update kernels are tied in by
@@ -28,6 +28,7 @@
 #include "lac/blas.hpp"
 #include "lac/dense.hpp"
 #include "lac/qr_rec.hpp"
+#include "oracle/oracle.hpp"
 #include "test_harness.hpp"
 #include "tile/matrix_gen.hpp"
 #include "tile/tile_matrix.hpp"

@@ -11,6 +11,7 @@
 #include "kernels/qr_kernels.hpp"
 #include "lac/blas.hpp"
 #include "lac/dense.hpp"
+#include "oracle/oracle.hpp"
 #include "test_harness.hpp"
 
 namespace tbsvd {
@@ -188,7 +189,7 @@ TEST_P(LqKernelP, TtmlqTransZeroesEliminatedTriangle) {
 }
 
 TEST_P(LqKernelP, TtBlockedMatchesReference) {
-  // Blocked (gemm_trap) TT kernels against the retained level-2 reference,
+  // Blocked (gemm_trap) TT kernels against the level-2 reference oracle,
   // with the storage right of each V2 row's support poisoned: that region
   // is unrelated data (e.g. GELQT Householder rows) and must be neither
   // read nor written by either path.

@@ -20,6 +20,7 @@
 #include "kernels/qr_kernels.hpp"
 #include "lac/dense.hpp"
 #include "lac/qr_rec.hpp"
+#include "oracle/oracle.hpp"
 #include "test_harness.hpp"
 #include "tile/matrix_gen.hpp"
 

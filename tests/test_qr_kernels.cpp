@@ -12,6 +12,7 @@
 #include "kernels/qr_kernels.hpp"
 #include "lac/blas.hpp"
 #include "lac/dense.hpp"
+#include "oracle/oracle.hpp"
 #include "test_harness.hpp"
 
 namespace tbsvd {
@@ -184,8 +185,8 @@ TEST_P(QrKernelP, UpdateKernelsPreserveFrobeniusNorm) {
 }
 
 TEST_P(QrKernelP, TtBlockedMatchesReference) {
-  // The blocked (gemm_trap) TT kernels against the retained level-2
-  // reference, on inputs whose out-of-support storage is poisoned: the TT
+  // The blocked (gemm_trap) TT kernels against the level-2 reference
+  // oracle, on inputs whose out-of-support storage is poisoned: the TT
   // contract is that entries below V2's diagonal are unrelated data (e.g.
   // GEQRT Householder vectors) that must be neither read nor written.
   const auto [n, ib] = GetParam();

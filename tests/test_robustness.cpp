@@ -13,11 +13,11 @@
 
 #include "band/sturm.hpp"
 #include "baseline/chan.hpp"
-#include "baseline/gebd2.hpp"
 #include "baseline/gebrd.hpp"
 #include "batched/batched.hpp"
 #include "common/hazard.hpp"
 #include "core/svd.hpp"
+#include "oracle/oracle.hpp"
 #include "rsvd/rsvd.hpp"
 #include "tile/matrix_gen.hpp"
 #include "test_harness.hpp"

@@ -5,7 +5,7 @@
 
 #include "common/rng.hpp"
 #include "lac/blas.hpp"
-#include "lac/jacobi_svd.hpp"
+#include "oracle/oracle.hpp"
 #include "tile/distribution.hpp"
 #include "tile/matrix_gen.hpp"
 #include "tile/tile_matrix.hpp"
