@@ -69,6 +69,9 @@ struct Record {
   double gflops = 0.0;
   double weight_measured = -1.0;  ///< measured time normalized to GEQRT == 4
   double weight_paper = -1.0;     ///< the paper's Table-I weight
+  double ge2bnd_s = -1.0;  ///< GE2VAL stage split (emitted when >= 0)
+  double bnd2bd_s = -1.0;
+  double bd2val_s = -1.0;
   int batch = 0;    ///< problems per batch (batched benches; 0 = n/a)
   int threads = 0;  ///< batch workers (emitted with batch)
   double problems_per_sec = 0.0;  ///< batched throughput (emitted with batch)
@@ -95,6 +98,12 @@ inline bool write_json(const char* path, const std::vector<Record>& recs) {
     if (r.weight_paper >= 0.0) {
       std::fprintf(f, ", \"weight_measured\": %.3f, \"weight_paper\": %.0f",
                    r.weight_measured, r.weight_paper);
+    }
+    if (r.ge2bnd_s >= 0.0) {
+      std::fprintf(f,
+                   ", \"ge2bnd_s\": %.6e, \"bnd2bd_s\": %.6e, "
+                   "\"bd2val_s\": %.6e",
+                   r.ge2bnd_s, r.bnd2bd_s, r.bd2val_s);
     }
     if (r.batch > 0) {
       std::fprintf(f,

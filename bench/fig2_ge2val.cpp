@@ -15,10 +15,14 @@
 //
 // Every point lands in the JSON artifact (default BENCH_fig2_ge2val.json,
 // Record schema plus problem extents) for cross-PR tracking via
-// bench/history/.
+// bench/history/. Tiled points also record their GesvdTimings split
+// (ge2bnd_s, bnd2bd_s, bd2val_s).
 //
-// With --tune-file PATH the tiled columns take (nb, ib) from a persisted
-// tbsvd_tune calibration (an explicit --nb still wins on the tile size).
+// The tiled columns run at the library's tuned defaults: (nb, ib) = 0
+// resolve from the active calibration (TBSVD_TUNE_FILE), else 64 / 32.
+// With --tune-file PATH they take (nb, ib) from that persisted tbsvd_tune
+// calibration instead; an explicit --nb still wins on the tile size. Sizes
+// are rounded to the resolved nb.
 //
 // Usage: fig2_ge2val [--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
 //                    [--tune-file PATH]
@@ -35,16 +39,31 @@ namespace {
 using namespace tbsvd;
 using namespace tbsvd::bench;
 
-int g_nb = 64;
-int g_ib = 16;
+int g_nb = 0;  // 0: the library's tuned default
+int g_ib = 0;
 DType g_dtype = DType::F64;
 
 std::vector<Record> g_records;
 
 double record_point(const std::string& name, int m, int n, int nb, int ib,
-                    double seconds) {
+                    double seconds, const GesvdTimings* t = nullptr) {
   g_records.push_back(e2e_record(name, nb, ib, m, n, seconds));
+  if (t != nullptr) {
+    g_records.back().ge2bnd_s = t->ge2bnd_seconds;
+    g_records.back().bnd2bd_s = t->bnd2bd_seconds;
+    g_records.back().bd2val_s = t->bd2val_seconds;
+  }
   return g_records.back().gflops;
+}
+
+// The (nb, ib) the tiled series run at: explicit values win; the 0
+// sentinels take the active calibration's tuned values (else 64 / 32), as
+// gesvd_values resolves them. Its cap of nb near n never binds here, since
+// every size is rounded to a multiple of nb.
+int scalar_bytes() { return g_dtype == DType::F32 ? 4 : 8; }
+int tiled_nb() { return tune::resolved_nb(g_nb, scalar_bytes(), 64); }
+int tiled_ib() {
+  return std::min(tune::resolved_ib(g_ib, scalar_bytes(), 32), tiled_nb());
 }
 
 template <class T>
@@ -68,18 +87,20 @@ GesvdOptions tiled_opts(int nthreads, TreeKind tree, BidiagAlg alg) {
 double run_tbsvd(int m, int n, int nthreads, TreeKind tree, BidiagAlg alg,
                  const std::string& series) {
   const GesvdOptions o = tiled_opts(nthreads, tree, alg);
+  const int nb = tiled_nb(), ib = tiled_ib();
+  GesvdTimings t;
   if (g_dtype == DType::F32) {
     MatrixT<float> A = input_matrix<float>(m, n);
     WallTimer w;
-    auto sv = gesvd_values(A.cview(), o);
+    auto sv = gesvd_values(A.cview(), o, &t);
     benchmark_keep(sv);
-    return record_point(series, m, n, o.nb, o.ge2bnd.ib, w.seconds());
+    return record_point(series, m, n, nb, ib, w.seconds(), &t);
   }
   Matrix A = input_matrix<double>(m, n);
   WallTimer w;
-  auto sv = gesvd_values(A.cview(), o);
+  auto sv = gesvd_values(A.cview(), o, &t);
   benchmark_keep(sv);
-  return record_point(series, m, n, o.nb, o.ge2bnd.ib, w.seconds());
+  return record_point(series, m, n, nb, ib, w.seconds(), &t);
 }
 
 double run_gebrd(int m, int n, int nb, int nthreads,
@@ -148,14 +169,15 @@ int main(int argc, char** argv) {
 
   const int hw = host_cores();
 
+  const int nb = tiled_nb();
   print_header(std::string("Fig.2d GE2VAL square, GFlop/s [") +
-                   dtype_name(g_dtype) + ", nb=" + std::to_string(g_nb) + "]",
+                   dtype_name(g_dtype) + ", nb=" + std::to_string(nb) + "]",
                {"M=N", "tbsvd", "plasma*", "mkl*", "scalapack*",
                 "elemental*"});
   std::vector<int> sizes = {256, 512, 768};
   if (smoke) sizes = {256};
   if (full_mode()) sizes = {256, 512, 768, 1024, 1536};
-  for (int& s : sizes) s = std::max(1, s / g_nb) * g_nb;
+  for (int& s : sizes) s = std::max(1, s / nb) * nb;
   for (int n : sizes) {
     std::printf(
         "%14d%14.2f%14.2f%14.2f%14.2f%14.2f\n", n,
@@ -169,7 +191,7 @@ int main(int argc, char** argv) {
   }
 
   for (int nfix : smoke ? std::vector<int>{128} : std::vector<int>{128, 320}) {
-    nfix = std::max(1, nfix / g_nb) * g_nb;
+    nfix = std::max(1, nfix / nb) * nb;
     print_header("Fig.2e/f GE2VAL tall-skinny N=" + std::to_string(nfix) +
                      ", GFlop/s [" + dtype_name(g_dtype) + "]",
                  {"M", "tbsvd", "plasma*", "mkl*", "scalapack*",
@@ -177,7 +199,7 @@ int main(int argc, char** argv) {
     std::vector<int> ms = {512, 1024, 2048};
     if (smoke) ms = {512};
     if (full_mode()) ms = {512, 1024, 2048, 4096, 8192};
-    for (int& m : ms) m = std::max(2 * nfix / g_nb, m / g_nb) * g_nb;
+    for (int& m : ms) m = std::max(2 * nfix / nb, m / nb) * nb;
     for (int m : ms) {
       std::printf(
           "%14d%14.2f%14.2f%14.2f%14.2f%14.2f\n", m,

@@ -8,7 +8,9 @@
 # BENCH_fig2_ge2bnd_f32.json), BENCH_fig3_*/BENCH_fig4_*.json the
 # distributed-simulation scaling curves, and BENCH_batched.json the
 # batched small-problem serving throughput (problems/sec across
-# batch x threads x dtype, bench_batched).
+# batch x threads x dtype, bench_batched). perfbench_parent.jsonl and
+# perfbench_change.jsonl, the result sets `perfbench/run.py --record FILE`
+# appends for the parent and the changed tree, are copied too.
 set -eu
 
 repo_root=$(git rev-parse --show-toplevel)
@@ -20,7 +22,7 @@ dest="${repo_root}/bench/history/${sha}"
 mkdir -p "${dest}"
 
 found=0
-for f in BENCH_*.json; do
+for f in BENCH_*.json perfbench_parent.jsonl perfbench_change.jsonl; do
   if [ -f "${f}" ]; then
     # Refuse to record artifacts with non-finite numbers: a bench that
     # produced NaN/Inf is broken, and history must stay trustworthy. The
@@ -35,7 +37,8 @@ for f in BENCH_*.json; do
   fi
 done
 if [ "${found}" -eq 0 ]; then
-  echo "record.sh: no BENCH_*.json in $(pwd); run the benches first" >&2
+  echo "record.sh: no BENCH_*.json or perfbench_*.jsonl in $(pwd);" \
+    "run the benches first" >&2
   exit 1
 fi
 

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
                 full_sec, maxrel);
   }
 
-  // Degraded-but-successful solve: starve the bidiagonal QR iteration so
+  // Degraded-but-successful solve: starve the bidiagonal dqds iteration so
   // bd2val must take the Sturm-bisection fallback. The result is flagged
   // Degraded, not an error — and the principal values still match.
   GesvdOptions starved = opts;

@@ -8,104 +8,214 @@
 #include "common/check.hpp"
 #include "common/fault.hpp"
 #include "common/hazard.hpp"
-#include "lac/givens.hpp"
 
 namespace tbsvd {
 
 namespace {
 
-// Singular values of the 2x2 upper triangular [[f, g], [0, h]]
-// (LAPACK xlas2). Returns {smin, smax}.
-template <class T>
-void las2(T f, T g, T h, T& ssmin, T& ssmax) {
-  const T fa = std::fabs(f), ga = std::fabs(g), ha = std::fabs(h);
-  const T fhmn = std::min(fa, ha), fhmx = std::max(fa, ha);
-  if (fhmn == T(0)) {
-    ssmin = T(0);
-    if (fhmx == T(0)) {
-      ssmax = ga;
-    } else {
-      const T r = std::min(fhmx, ga) / std::max(fhmx, ga);
-      ssmax = std::max(fhmx, ga) * std::sqrt(T(1) + r * r);
-    }
-    return;
-  }
-  if (ga < fhmx) {
-    const T as = T(1) + fhmn / fhmx;
-    const T at = (fhmx - fhmn) / fhmx;
-    const T au = (ga / fhmx) * (ga / fhmx);
-    const T c = T(2) / (std::sqrt(as * as + au) + std::sqrt(at * at + au));
-    ssmin = fhmn * c;
-    ssmax = fhmx / c;
-  } else {
-    const T au = fhmx / ga;
-    if (au == T(0)) {
-      ssmin = (fhmn * fhmx) / ga;
-      ssmax = ga;
-    } else {
-      const T as = T(1) + fhmn / fhmx;
-      const T at = (fhmx - fhmn) / fhmx;
-      const T c = T(1) / (std::sqrt(T(1) + (as * au) * (as * au)) +
-                          std::sqrt(T(1) + (at * au) * (at * au)));
-      ssmin = (fhmn * c) * au * T(2);
-      ssmax = ga / (c + c);
-    }
-  }
-}
+enum class Step { Ok, LateFail, EarlyFail };
 
-// One shifted Golub-Kahan QR sweep on block [lo, hi] (inclusive), top-down.
+// Shifted dqds (LAPACK xLASQ2-xLASQ6) on the qd arrays q = d^2, e = e^2,
+// interleaved in one buffer: z[4k + p] = q_k, z[4k + 2 + p] = e_k, where
+// parity p selects the ping or pong copy. A transform reads p and writes
+// 1 - p. Blocks run bottom-up, each with the shift sigma applied to it
+// (eigenvalues plus sigma are squared singular values). A split freezes the
+// part above at parity 0 with -sigma in the e slot below it, so e <= 0
+// marks a block's bottom and holds its sigma. Finished values go to z[4k].
 template <class T>
-void sweep_shifted(std::vector<T>& d, std::vector<T>& e, int lo, int hi,
-                   T shift) {
-  T f = (std::fabs(d[lo]) - shift) *
-        (std::copysign(T(1), d[lo]) + shift / d[lo]);
-  T g = e[lo];
-  for (int k = lo; k < hi; ++k) {
-    GivensRotationT<T> r1 = lartg<T>(f, g);
-    if (k > lo) e[k - 1] = r1.r;
-    f = r1.c * d[k] + r1.s * e[k];
-    e[k] = r1.c * e[k] - r1.s * d[k];
-    g = r1.s * d[k + 1];
-    d[k + 1] = r1.c * d[k + 1];
-    GivensRotationT<T> r2 = lartg<T>(f, g);
-    d[k] = r2.r;
-    f = r2.c * e[k] + r2.s * d[k + 1];
-    d[k + 1] = r2.c * d[k + 1] - r2.s * e[k];
-    if (k < hi - 1) {
-      g = r2.s * e[k + 1];
-      e[k + 1] = r2.c * e[k + 1];
+class Dqds {
+ public:
+  Dqds(T* z, int n, long long budget) : z_(z), budget_(budget), n_(n) {}
+
+  long long transforms = 0;  ///< failed ones included
+
+  /// Runs every block to completion; false when the budget ran out.
+  bool run() {
+    for (int hi = n_ - 1; hi >= 0; hi = lo_ - 1) {
+      // The block ending at hi; its first transform has zero shift.
+      hi_ = n0in_ = lo_ = hi;
+      p_ = 0;
+      sigma_ = -e(hi);
+      desig_ = dmin_ = -T(0);
+      while (lo_ > 0 && e(lo_ - 1) > T(0)) --lo_;
+      while (hi_ >= lo_) {
+        if (!deflate() && !step()) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  static constexpr T kEps = std::numeric_limits<T>::epsilon();
+  static constexpr T kTol = T(100) * kEps, kTol2 = kTol * kTol;
+
+  T& q(int k) const { return z_[4 * k + p_]; }
+  T& e(int k) const { return z_[4 * k + 2 + p_]; }
+
+  void finish(T lambda) { z_[4 * hi_--] = lambda + (sigma_ + desig_); }
+
+  // Deflates one value (1x1 block or negligible last e) or two (2x2 block
+  // or negligible second-to-last e). The 2x2's larger eigenvalue is a sum of
+  // positive terms (hypot: no overflow), the smaller comes from the product
+  // qa qb; both stay relatively accurate.
+  bool deflate() {
+    if (hi_ == lo_ || e(hi_ - 1) <= kTol2 * (sigma_ + q(hi_))) {
+      finish(q(hi_));
+      return true;
+    }
+    if (hi_ > lo_ + 1 && e(hi_ - 2) > kTol2 * sigma_) return false;
+    const T qa = q(hi_ - 1), qb = q(hi_), ea = e(hi_ - 1);
+    const T big = T(0.5) * ((qa + qb + ea) +
+                            std::hypot((qa - qb) + ea,
+                                       2 * std::sqrt(qb) * std::sqrt(ea)));
+    finish(big > T(0) ? qb * (qa / big) : T(0));
+    finish(big);
+    return true;
+  }
+
+  // One accepted transform: flip a block that grades upward, so small values
+  // converge at the bottom; shift; after a negative pivot retry with (tau +
+  // dn)(1 - 2 eps) if only the last failed, else tau / 4, then zero.
+  bool step() {
+    if ((dmin_ <= T(0) || hi_ < n0in_) && T(1.5) * q(lo_) < q(hi_)) {
+      for (int i = lo_, j = hi_; i < j; ++i, --j) std::swap(q(i), q(j));
+      for (int i = lo_, j = hi_ - 1; i < j; ++i, --j) std::swap(e(i), e(j));
+      dmin_ = -T(0);  // the pivots described the unflipped block
+      n0in_ = hi_;
+    }
+    T tau = shift(n0in_ - hi_);
+    n0in_ = hi_;
+    for (int fails = 0;; ++fails) {
+      if (transforms == budget_) return false;
+      ++transforms;
+      if (fails == 2) tau = T(0);
+      const Step st = tau == 0 ? transform<true>(tau) : transform<false>(tau);
+      if (st == Step::Ok) break;
+      if (st == Step::LateFail && dmin1_ > T(0) &&
+          z_[4 * hi_ - 1 - p_] < kTol * (sigma_ + dn1_) &&
+          std::fabs(dn_) < kTol * sigma_) {
+        z_[4 * hi_ + 1 - p_] = dmin_ = T(0);  // convergence hidden by dn < 0
+        break;
+      }
+      tau = st == Step::LateFail ? (tau + dn_) * (1 - 2 * kEps) : tau / 4;
+      if (g_ > T(0)) g_ = st == Step::LateFail ? T(0) : T(-1);
+    }
+    p_ = 1 - p_;
+    const T t = sigma_ + tau;  // sigma += tau, rounding error kept in desig
+    desig_ += sigma_ >= tau ? (sigma_ - t) + tau : (tau - t) + sigma_;
+    sigma_ = t;
+    if (p_ == 0) split();
+    return true;
+  }
+
+  // Splits the block at the lowest e that is negligible against the q it
+  // fed (previous iterate, parity 1) or against sigma. Runs at parity 0.
+  void split() {
+    for (int k = hi_ - 3; k >= lo_; --k) {
+      if (z_[4 * k + 3] <= kTol2 * q(k) || e(k) <= kTol2 * sigma_) {
+        e(k) = -(sigma_ + desig_);
+        lo_ = k + 1;
+        return;
+      }
     }
   }
-  e[hi - 1] = f;
-}
 
-// One zero-shift (Demmel-Kahan) sweep on block [lo, hi], top-down.
-template <class T>
-void sweep_zero_shift(std::vector<T>& d, std::vector<T>& e, int lo, int hi) {
-  T cs = T(1), oldcs = T(1), oldsn = T(0);
-  T r = d[lo];
-  for (int i = lo; i < hi; ++i) {
-    GivensRotationT<T> g1 = lartg<T>(d[i] * cs, e[i]);
-    cs = g1.c;
-    T sn = g1.s;
-    r = g1.r;
-    if (i > lo) e[i - 1] = oldsn * r;
-    GivensRotationT<T> g2 = lartg<T>(oldcs * r, d[i + 1] * sn);
-    oldcs = g2.c;
-    oldsn = g2.s;
-    d[i] = g2.r;
+  // The dqds transform of xLASQ5; it stops at the first negative pivot
+  // before the last. With kSafe it is the zero-shift dqd of xLASQ6, guarded
+  // against zero and overflowing pivots, so it cannot fail on nonnegative
+  // data. Records the pivots shift() reads: dmin over all, dmin1 without the
+  // last, dmin2 without the last two; dn, dn1, dn2 the last three.
+  template <bool kSafe>
+  Step transform(T tau) {
+    constexpr T kSafmin = std::numeric_limits<T>::min();
+    const int o = 1 - p_;
+    T d = q(lo_) - tau;
+    dmin_ = dmin1_ = dmin2_ = dn1_ = dn2_ = d;
+    for (int k = lo_; k < hi_; ++k) {
+      if (!kSafe && d < T(0)) return Step::EarlyFail;
+      const T ek = e(k), qn = q(k + 1), qh = d + ek;
+      dmin2_ = dmin1_;
+      dmin1_ = dmin_;
+      dn2_ = dn1_;
+      dn1_ = d;
+      z_[4 * k + o] = qh;
+      if (!kSafe || (kSafmin * qn < qh && kSafmin * qh < qn)) {
+        const T t = qn / qh;
+        z_[4 * k + 2 + o] = ek * t;
+        d = d * t - tau;
+      } else if (qh > T(0)) {  // ratios of at most one
+        z_[4 * k + 2 + o] = qn * (ek / qh);
+        d = qn * (d / qh);
+      } else {
+        z_[4 * k + 2 + o] = T(0);
+        d = qn;
+      }
+      dmin_ = std::min(dmin_, d);
+    }
+    z_[4 * hi_ + o] = dn_ = d;
+    if (d >= T(0)) return Step::Ok;
+    return d < T(0) ? Step::LateFail : Step::EarlyFail;  // NaN is early
   }
-  const T h = d[hi] * cs;
-  e[hi - 1] = h * oldsn;
-  d[hi] = h * oldcs;
-}
+
+  // The shift of xLASQ4, aimed just below the smallest eigenvalue of the
+  // block from the last pivots and the number of values deflated since.
+  T shift(int deflated) {
+    const T g = g_;
+    g_ = T(0);
+    if (dmin_ < T(0) || (dmin_ == T(0) && deflated == 0)) return -dmin_;
+    if (deflated == 1 && dmin1_ == dn1_ && dmin2_ == dn2_) {
+      // Rayleigh-quotient residual bound below dmin1. The products of e / q
+      // up the block estimate how much of the bottom eigenvector lies above.
+      const T s = dmin1_ / 3;
+      T b = T(1), sum = T(0);
+      for (int k = hi_ - 1; k >= lo_ && b != T(0); --k) {
+        const T prev = b;
+        if (e(k) > q(k)) return s;
+        b *= e(k) / q(k);
+        sum += b;
+        if (k < hi_ - 1 && 100 * std::max(b, prev) < sum) break;
+      }
+      const T b2 = std::sqrt(T(1.05) * sum), a2 = dmin1_ / (1 + b2 * b2);
+      const T gap2 = T(0.5) * dmin2_ - a2;
+      return std::max(s, gap2 > T(0) && gap2 > b2 * a2
+                             ? a2 * (1 - T(1.01) * a2 * (b2 / gap2) * b2)
+                             : a2 * (1 - T(1.01) * b2));
+    }
+    if (deflated == 1) return dmin1_ == dn1_ ? dmin1_ / 2 : dmin1_ / 4;
+    if (deflated > 1) return deflated == 2 ? dmin2_ / 4 : T(0);
+    if (dmin_ == dn_ && dmin1_ == dn1_) {
+      // The last two pivots are the smallest: bound the bottom eigenvalue
+      // by its gap to the trailing 2x2.
+      const T b1 = std::sqrt(q(hi_)) * std::sqrt(e(hi_ - 1));
+      const T b2 = std::sqrt(q(hi_ - 1)) * std::sqrt(e(hi_ - 2));
+      const T a2 = q(hi_ - 1) + e(hi_ - 1), gap2 = T(0.75) * dmin2_ - a2;
+      const T gap1 = gap2 > T(0) && gap2 > b2 ? a2 - dn_ - (b2 / gap2) * b2
+                                              : a2 - dn_ - (b1 + b2);
+      if (gap1 > T(0) && gap1 > b1) {
+        return std::max(dn_ - (b1 / gap1) * b1, T(0.5) * dmin_);
+      }
+      T s = dn_ > b1 ? dn_ - b1 : T(0);
+      if (a2 > b1 + b2) s = std::min(s, a2 - (b1 + b2));
+      return std::max(s, dmin_ / 3);
+    }
+    // No gap estimate: take a growing fraction of dmin while that succeeds,
+    // a small one after it failed early.
+    g_ = g > T(0) ? g + (1 - g) / 3 : g < T(0) ? T(1) / 12 : T(0.25);
+    return g_ * dmin_;
+  }
+
+  T* z_;
+  long long budget_;
+  int n_, lo_ = 0, hi_ = 0, p_ = 0, n0in_ = 0;
+  T sigma_ = 0, desig_ = 0, g_ = 0;
+  T dmin_ = 0, dmin1_ = 0, dmin2_ = 0, dn_ = 0, dn1_ = 0, dn2_ = 0;
+};
 
 }  // namespace
 
 template <class T>
 std::vector<T> bd2val(std::vector<T> d, std::vector<T> e,
                       const Bd2valOptions& opts, Bd2valInfo* info) {
-  constexpr T kEps = std::numeric_limits<T>::epsilon();
   const int n = static_cast<int>(d.size());
   TBSVD_CHECK(static_cast<int>(e.size()) >= std::max(0, n - 1),
               "bd2val: e must have n-1 entries");
@@ -115,8 +225,7 @@ std::vector<T> bd2val(std::vector<T> d, std::vector<T> e,
   if (n == 0) return {};
   if (!all_finite(d.data(), d.size()) ||
       !all_finite(e.data(), static_cast<std::size_t>(n - 1))) {
-    // NaN never passes a deflation test, so the iteration would spin on it;
-    // reject up front rather than time out or emit NaN "singular values".
+    // NaN never deflates: reject it rather than spin or return NaN values.
     throw numerical_hazard_error("bd2val: non-finite entry in bidiagonal");
   }
 
@@ -125,90 +234,32 @@ std::vector<T> bd2val(std::vector<T> d, std::vector<T> e,
   for (int i = 0; i + 1 < n; ++i) smax = std::max(smax, std::fabs(e[i]));
   if (smax == T(0)) return std::vector<T>(n, T(0));
 
-  const T tol = T(16) * kEps;
-  const T thresh = tol * smax * T(1e-3) +
-      std::numeric_limits<T>::min() / kEps;
-  long long max_iters =
-      static_cast<long long>(opts.max_sweeps_per_value) * n * n + 100;
-  if (TBSVD_FAULT_FIRE("band.bd2val.force_stall")) max_iters = 0;
-  long long iters = 0;
-  bool fell_back = false;
+  long long budget = static_cast<long long>(opts.max_sweeps_per_value) * n;
+  if (TBSVD_FAULT_FIRE("band.bd2val.force_stall")) budget = 0;
 
-  int hi = n - 1;
-  while (hi > 0) {
-    if (iters++ > max_iters) {
-      fell_back = true;
-      break;
-    }
-    // Deflate negligible superdiagonals from the bottom.
-    if (std::fabs(e[hi - 1]) <=
-        tol * (std::fabs(d[hi - 1]) + std::fabs(d[hi])) + thresh) {
-      e[hi - 1] = T(0);
-      --hi;
-      continue;
-    }
-    // Find the start of the unreduced block ending at hi.
-    int lo = hi - 1;
-    while (lo > 0 &&
-           std::fabs(e[lo - 1]) >
-               tol * (std::fabs(d[lo - 1]) + std::fabs(d[lo])) + thresh) {
-      --lo;
-    }
-    if (lo > 0) e[lo - 1] = T(0);
-
-    if (hi - lo == 0) {
-      --hi;
-      continue;
-    }
-    // Exact 2x2 solve.
-    if (hi - lo == 1) {
-      T ssmin, ssmax;
-      las2<T>(d[lo], e[lo], d[hi], ssmin, ssmax);
-      d[lo] = ssmax;
-      d[hi] = ssmin;
-      e[lo] = T(0);
-      hi = lo;
-      continue;
-    }
-    // Zero diagonal entry inside the block: a zero-shift sweep drives the
-    // coupling entries toward zero; just use it.
-    bool has_zero_diag = false;
-    for (int i = lo; i <= hi; ++i) {
-      if (d[i] == T(0)) {
-        has_zero_diag = true;
-        break;
-      }
-    }
-    T shift = T(0);
-    if (!has_zero_diag) {
-      // Shift = smallest singular value of the trailing 2x2.
-      T ssmin, ssmax;
-      las2<T>(d[hi - 1], e[hi - 1], d[hi], ssmin, ssmax);
-      shift = ssmin;
-      T sll = std::fabs(d[lo]);
-      // Demmel-Kahan test: skip the shift when it would wreck relative
-      // accuracy (shift too small compared to the leading entry).
-      if (sll > T(0)) {
-        const T ratio = shift / sll;
-        if (ratio * ratio < kEps) shift = T(0);
-      }
-    }
-    if (shift == T(0) || has_zero_diag) {
-      sweep_zero_shift<T>(d, e, lo, hi);
-    } else {
-      sweep_shifted<T>(d, e, lo, hi, shift);
-    }
+  // Scale by a power of two (exactly) so the largest entry lies just below
+  // sqrt(eps / safmin), as xLASQ1 does: the squares cannot overflow, and
+  // small entries keep the exponent range a division by smax would spend.
+  const int ex = std::ilogb(std::sqrt(std::numeric_limits<T>::epsilon() /
+                                      std::numeric_limits<T>::min())) -
+                 std::ilogb(smax) - 1;
+  const auto sq = [ex](T x) { return std::scalbn(x, ex) * std::scalbn(x, ex); };
+  std::vector<T> z(4 * static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    z[4 * k] = sq(d[k]);
+    z[4 * k + 2] = k + 1 < n ? sq(e[k]) : -T(0);
   }
+  Dqds<T> dqds(z.data(), n, budget);
+  const bool converged = dqds.run();
 
-  if (info != nullptr) info->qr_iterations = iters;
-  if (fell_back) {
+  if (info != nullptr) info->qr_iterations = dqds.transforms;
+  if (!converged) {
     if (!opts.allow_bisection_fallback) {
       throw convergence_error(
-          "bd2val: QR iteration failed to converge and the bisection "
-          "fallback is disabled");
+          "bd2val: dqds stalled and the bisection fallback is disabled");
     }
-    // The sweeps applied so far are orthogonal equivalences, so (d, e)
-    // still carries the original spectrum; bisection always terminates.
+    // Shifted qd arrays no longer carry the spectrum, so bisection runs on
+    // the caller's bidiagonal; it always terminates.
     if (info != nullptr) {
       info->bisection_fallback = true;
       info->status = Status::Degraded;
@@ -216,7 +267,7 @@ std::vector<T> bd2val(std::vector<T> d, std::vector<T> e,
     return sturm_singular_values<T>(d, e);
   }
 
-  for (auto& v : d) v = std::fabs(v);
+  for (int k = 0; k < n; ++k) d[k] = std::scalbn(std::sqrt(z[4 * k]), -ex);
   std::sort(d.begin(), d.end(), std::greater<>());
   return d;
 }

@@ -1,21 +1,13 @@
-// BD2VAL: singular values of an upper bidiagonal matrix. Templated over
-// the scalar type T in {float, double}; deflation thresholds, shift tests
-// and the bisection fallback all use numeric_limits<T>-derived constants,
-// so the float instantiation converges to float accuracy rather than
-// spinning toward double tolerances.
-//
-// Primary path: implicit QR iteration in the Demmel–Kahan style (shifted
-// Golub–Kahan sweeps, switching to the zero-shift sweep when the shift
-// would spoil relative accuracy) — the algorithm behind LAPACK xBDSQR,
-// which the paper uses for this stage. When the iteration exhausts its
-// budget on a submatrix the driver degrades gracefully: singular values
-// are invariant under the sweeps already applied, so the partially
-// iterated (d, e) is handed to the Sturm-bisection oracle
-// (band/sturm.hpp), which always terminates. The fallback is flagged in
+// BD2VAL: singular values of an upper bidiagonal matrix, for T in {float,
+// double}, by shifted dqds on the qd arrays q = d^2, e = e^2 — the
+// algorithm of Fernando–Parlett and Parlett–Marques that LAPACK xBDSQR runs
+// (xLASQ1) when only values are wanted. Every value, however small, comes
+// out to high relative accuracy; tolerances derive from numeric_limits<T>.
+// If the transform budget runs out the driver degrades gracefully to Sturm
+// bisection (band/sturm.hpp) on the caller's (d, e), flagged in
 // Bd2valInfo; with allow_bisection_fallback = false a stall throws
-// convergence_error instead. Non-finite input throws
-// numerical_hazard_error up front (NaN never deflates, so iterating on it
-// would spin). Contract details: docs/ROBUSTNESS.md.
+// convergence_error instead. Non-finite input throws numerical_hazard_error
+// up front (NaN never deflates). Contract details: docs/ROBUSTNESS.md.
 #pragma once
 
 #include <vector>
@@ -26,9 +18,9 @@
 namespace tbsvd {
 
 struct Bd2valOptions {
-  /// QR iteration budget (LAPACK uses 6n^2). >= 0; 0 leaves only the fixed
-  /// slack budget, effectively forcing the bisection fallback on any
-  /// nontrivial matrix — useful for exercising the degraded path.
+  /// Budget of max_sweeps_per_value * n dqds transforms, failed ones
+  /// included. >= 0; 0 forces the bisection fallback on any bidiagonal that
+  /// needs a transform — useful for exercising the degraded path.
   int max_sweeps_per_value = 30;
   bool allow_bisection_fallback = true;
 };
@@ -36,7 +28,7 @@ struct Bd2valOptions {
 /// Diagnostics for one bd2val solve.
 struct Bd2valInfo {
   Status status = Status::Ok;  ///< Ok, or Degraded when bisection ran
-  long long qr_iterations = 0;  ///< inner QR-iteration steps consumed
+  long long qr_iterations = 0;  ///< dqds transforms run, failed included
   bool bisection_fallback = false;
 };
 

@@ -13,7 +13,7 @@
 // yields success, a flagged degraded result, or a typed error — never
 // silent garbage. What each site injects is decided at the call site
 // (poison a tile with NaN, throw bad_alloc at a workspace growth, force a
-// QR-iteration stall, fail a scheduled task). See docs/ROBUSTNESS.md.
+// BD2VAL stall, fail a scheduled task). See docs/ROBUSTNESS.md.
 #pragma once
 
 #include <atomic>

@@ -78,7 +78,7 @@ struct SvdInfo {
   bool scaled = false;       ///< safe pre-scaling was applied
   double scale_from = 0.0;   ///< input max-norm (valid when scaled)
   double scale_to = 0.0;     ///< safe-range target norm (valid when scaled)
-  long long qr_iterations = 0;   ///< BD2VAL inner QR-iteration steps
+  long long qr_iterations = 0;   ///< BD2VAL dqds transforms
   bool bisection_fallback = false;  ///< BD2VAL degraded to Sturm bisection
 
   /// True when the returned values are trustworthy — a flagged degraded

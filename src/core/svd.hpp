@@ -1,6 +1,6 @@
 // GE2VAL: singular values of a general dense matrix via the paper's
 // pipeline GE2BND (tiled, parallel) + BND2BD (bulge chasing) + BD2VAL
-// (bidiagonal QR iteration). Templated over the scalar type T in {float,
+// (dqds on the bidiagonal). Templated over the scalar type T in {float,
 // double}; singular values are always returned in double (float results
 // embed exactly), while every pipeline stage runs in T arithmetic.
 //
@@ -9,7 +9,7 @@
 // numerical_hazard_error; a max-norm outside the per-precision safe range
 // is scaled into it before the reduction (LAPACK dgesvd/dlascl protocol)
 // and the singular values are unscaled on exit, flagged in SvdInfo. A
-// QR-iteration stall in BD2VAL degrades to Sturm bisection
+// dqds stall in BD2VAL degrades to Sturm bisection
 // (Status::Degraded) instead of failing.
 #pragma once
 

@@ -1,11 +1,13 @@
 // Band stage validation: band storage, BND2BD bulge chasing (singular
 // values preserved vs dense oracle, typed over float and double), BD2VAL
-// QR iteration vs Sturm bisection vs Jacobi.
+// dqds vs Sturm bisection vs Jacobi, and its relative accuracy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
+#include <utility>
 
 #include "band/band_matrix.hpp"
 #include "band/bd2val.hpp"
@@ -251,6 +253,64 @@ TEST(Bd2val, HugeDynamicRange) {
   auto qr = bd2val(d, e);
   EXPECT_GT(qr[0], 9e149);
   ASSERT_EQ(qr.size(), 3u);
+}
+
+// dqds computes every singular value to high relative accuracy, so the
+// values of a bidiagonal whose spectrum spans many decades still multiply
+// to |det B| = prod |d_i|: sum log sigma_i = sum log |d_i| to c n eps. An
+// absolute deflation floor (eps * sigma_max) would lose the small values.
+template <class T>
+class Bd2valTyped : public ::testing::Test {};
+TYPED_TEST_SUITE(Bd2valTyped, Scalars);
+
+template <class T>
+long double log_det_gap(const std::vector<T>& d, const std::vector<T>& sv) {
+  long double gap = 0;
+  for (const T s : sv) gap += std::log(static_cast<long double>(s));
+  for (const T x : d) gap -= std::log(std::fabs(static_cast<long double>(x)));
+  return gap;
+}
+
+TYPED_TEST(Bd2valTyped, ValuesMultiplyToDeterminant) {
+  using T = TypeParam;
+  const double eps = std::numeric_limits<T>::epsilon();
+  const int n = 40;
+  const auto grade = [n](int i) {
+    return std::pow(10.0, -12.0 * i / (n - 1));
+  };
+  std::vector<T> dt(n), et(n - 1), db(n), eb(n - 1);
+  for (int i = 0; i < n; ++i) {
+    dt[i] = static_cast<T>(grade(i));
+    db[i] = static_cast<T>(grade(n - 1 - i));
+  }
+  for (int i = 0; i + 1 < n; ++i) {
+    et[i] = static_cast<T>(0.5 * grade(i));
+    eb[i] = static_cast<T>(0.5 * grade(n - 2 - i));
+  }
+  for (const auto& [d, e] : {std::pair{dt, et}, std::pair{db, eb}}) {
+    const std::vector<T> sv = bd2val<T>(d, e);
+    ASSERT_EQ(sv.size(), d.size());
+    EXPECT_GT(sv.back(), T(0));
+    EXPECT_LE(std::fabs(log_det_gap(d, sv)), 4.0 * n * eps);
+  }
+}
+
+// HugeDynamicRange's values one by one: d = {1e150, 1, 1e-150} in double
+// (1e±15 in float, whose qd arrays hold squares), so |det B| = 1.
+TYPED_TEST(Bd2valTyped, HugeDynamicRangeKeepsEveryValue) {
+  using T = TypeParam;
+  const double eps = std::numeric_limits<T>::epsilon();
+  const bool is_float = sizeof(T) == sizeof(float);
+  const double big = is_float ? 1e15 : 1e150;
+  const double off = is_float ? 1e1 : 1e10;
+  const std::vector<T> d = {static_cast<T>(big), T(1), static_cast<T>(1 / big)};
+  const std::vector<T> e = {static_cast<T>(off), static_cast<T>(1 / off)};
+  const std::vector<T> sv = bd2val<T>(d, e);
+  ASSERT_EQ(sv.size(), 3u);
+  for (const T s : sv) EXPECT_GT(s, T(0));
+  const long double prod = static_cast<long double>(sv[0]) * sv[2] * sv[1];
+  EXPECT_NEAR(static_cast<double>(prod), 1.0, 8.0 * eps);
+  EXPECT_LE(std::fabs(log_det_gap(d, sv)), 8.0 * eps);
 }
 
 TEST(Sturm, CountIsMonotonic) {

@@ -468,7 +468,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, PanelRobustness,
 
 // ---------------------------------------------------------- e2e spectrum ---
 
-// ge2bnd -> band extraction -> bulge-chasing -> bidiagonal QR iteration:
+// ge2bnd -> band extraction -> bulge-chasing -> bidiagonal dqds:
 // the full value pipeline must recover prescribed singular values to
 // O(eps ||A||). This is the one test that ties the factorization layers
 // (with the recursive panels on the hot path) to the spectrum.

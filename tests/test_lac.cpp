@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "lac/blas.hpp"
 #include "lac/dense.hpp"
-#include "lac/givens.hpp"
 #include "lac/householder.hpp"
 #include "lac/qr_ref.hpp"
 #include "oracle/oracle.hpp"
@@ -328,23 +327,6 @@ TEST(JacobiSvd, OrthogonalInvariance) {
   Matrix QA = mul(Q.cview(), A.cview());
   auto sv1 = jacobi_singular_values(QA.cview());
   for (int i = 0; i < n; ++i) EXPECT_NEAR(sv0[i], sv1[i], 1e-11);
-}
-
-TEST(Givens, LartgBasics) {
-  auto g = lartg(3.0, 4.0);
-  EXPECT_NEAR(g.c * g.c + g.s * g.s, 1.0, 1e-15);
-  EXPECT_NEAR(g.c * 3.0 + g.s * 4.0, g.r, 1e-15);
-  EXPECT_NEAR(-g.s * 3.0 + g.c * 4.0, 0.0, 1e-15);
-  auto gz = lartg(5.0, 0.0);
-  EXPECT_EQ(gz.c, 1.0);
-  EXPECT_EQ(gz.s, 0.0);
-  auto gf = lartg(0.0, 2.0);
-  EXPECT_EQ(gf.c, 0.0);
-  EXPECT_EQ(gf.s, 1.0);
-  // Mixed signs: still orthonormal and annihilating.
-  auto gm = lartg(1.3, -0.4);
-  EXPECT_NEAR(gm.c * gm.c + gm.s * gm.s, 1.0, 1e-15);
-  EXPECT_NEAR(-gm.s * 1.3 + gm.c * -0.4, 0.0, 1e-15);
 }
 
 }  // namespace

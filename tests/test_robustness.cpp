@@ -284,9 +284,9 @@ TEST(TypedErrors, TaxonomyIsDistinguishable) {
 // ------------------------------------------------------- degraded paths ---
 
 TEST(Degraded, StarvedQrIterationFallsBackAndStaysCorrect) {
-  // n = 48 after padding: the fixed 100-iteration slack budget cannot
-  // finish 48 values (deflations alone need ~n outer iterations), so the
-  // starved run must take the bisection fallback deterministically.
+  // n = 48 after padding: max_sweeps_per_value = 0 leaves a budget of zero
+  // dqds transforms, and this bidiagonal needs at least one, so the starved
+  // run must take the bisection fallback deterministically.
   Matrix A = test::random_matrix(64, 48, 909);
   const auto ref = gesvd_values(A.cview(), small_opts());
   GesvdOptions starved = small_opts();

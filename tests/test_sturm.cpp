@@ -1,6 +1,6 @@
 // Sturm-bisection cross-validation tier (docs/ROBUSTNESS.md): the
 // bisection oracle in band/sturm.hpp is BD2VAL's graceful-degradation
-// path, so it must agree with the QR iteration wherever both run. Random,
+// path, so it must agree with the dqds iteration wherever both run. Random,
 // graded (geometrically decaying, both orientations) and mixed-magnitude
 // bidiagonals are checked both ways, plus the invariant that a forced
 // fallback through the public bd2val entry matches the primary path.
@@ -88,7 +88,7 @@ TEST(Sturm, ForcedFallbackThroughBd2valMatchesPrimaryPath) {
   const Bd b = random_bidiagonal(60, 424242);
   const auto primary = bd2val(b.d, b.e);
   Bd2valOptions opts;
-  opts.max_sweeps_per_value = 0;  // starve the QR iteration
+  opts.max_sweeps_per_value = 0;  // starve the dqds iteration
   Bd2valInfo info;
   const auto fallback = bd2val(b.d, b.e, opts, &info);
   EXPECT_TRUE(info.bisection_fallback);
